@@ -58,9 +58,9 @@ class Backend {
   // Stable short name, used in metric names ("inmemory", "sqlite").
   virtual std::string_view name() const = 0;
 
-  // Replaces all stored facts with `db`'s contents; `program` fixes the
-  // schema (predicates the data does not mention yet are still created,
-  // empty). Must be called before Execute.
+  // Replaces all stored facts with `db`'s contents; `program` is the
+  // ontology they are served under. A predicate with no facts reads as an
+  // empty relation. Must be called before Execute.
   virtual Status Load(const TgdProgram& program, const Database& db) = 0;
 
   // Executes a UCQ over the loaded facts and returns the sorted,

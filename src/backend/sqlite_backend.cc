@@ -3,7 +3,6 @@
 #include <sqlite3.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <utility>
@@ -11,27 +10,17 @@
 
 #include "base/fault_point.h"
 #include "base/strings.h"
-#include "logic/atom.h"
 #include "rewriting/cte_sql.h"
 #include "rewriting/sql.h"
 
 namespace ontorew {
 namespace {
 
-// Stored form of labeled null N_i: "\x1b:n<i>". The ESC byte cannot open
-// a parsed constant (Load rejects it), so nulls and constants never
-// collide in a column.
-constexpr char kNullPrefix[] = "\x1b:n";
-constexpr std::size_t kNullPrefixLen = 3;
-
-std::string EncodeValue(Value value, const Vocabulary& vocab) {
-  if (value.is_null()) return StrCat(kNullPrefix, value.id());
-  return SqlConstantText(value.id(), vocab);
-}
-
-bool IsNullEncoding(std::string_view text) {
-  return text.size() > kNullPrefixLen &&
-         text.compare(0, kNullPrefixLen, kNullPrefix) == 0;
+// Stored form of a value: a constant as its id, labeled null N_i as
+// -(i+1), so the two never collide in a column.
+std::int64_t EncodeCell(Value value) {
+  return value.is_null() ? -static_cast<std::int64_t>(value.id()) - 1
+                         : value.id();
 }
 
 Status SqliteError(sqlite3* conn, std::string_view what) {
@@ -54,6 +43,22 @@ std::uint64_t NextJitter(std::uint64_t* state) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
+
+// Rewinds a cached statement and zeroes its counters on every exit path,
+// so a scan cut short leaves nothing behind for the next request.
+class StmtReset {
+ public:
+  explicit StmtReset(sqlite3_stmt* stmt) : stmt_(stmt) {}
+  StmtReset(const StmtReset&) = delete;
+  StmtReset& operator=(const StmtReset&) = delete;
+  ~StmtReset() {
+    sqlite3_reset(stmt_);
+    sqlite3_stmt_status(stmt_, SQLITE_STMTSTATUS_FULLSCAN_STEP, 1);
+  }
+
+ private:
+  sqlite3_stmt* stmt_;
+};
 
 // One finalize on every exit path.
 class StmtGuard {
@@ -101,10 +106,18 @@ class ProgressGuard {
 SqliteBackend::SqliteBackend(Vocabulary* vocab, SqliteBackendOptions options)
     : vocab_(vocab), options_(std::move(options)),
       busy_rng_state_(options_.busy_jitter_seed) {
+  rendering_.constants = SqlConstantForm::kIntegerId;
+  rendering_.table = [this](PredicateId p) {
+    auto it = tables_.find(p);
+    return it != tables_.end() ? it->second
+                               : SqlEmptyRelation(vocab_->PredicateArity(p));
+  };
+  // mutex_ serializes every use of the connection, so SQLite's own
+  // per-connection mutex would only add cost.
   const int rc =
       sqlite3_open_v2(options_.path.c_str(), &conn_,
                       SQLITE_OPEN_READWRITE | SQLITE_OPEN_CREATE |
-                          SQLITE_OPEN_FULLMUTEX,
+                          SQLITE_OPEN_NOMUTEX,
                       nullptr);
   if (rc != SQLITE_OK) {
     open_status_ = InternalError(StrCat(
@@ -115,7 +128,10 @@ SqliteBackend::SqliteBackend(Vocabulary* vocab, SqliteBackendOptions options)
   }
 }
 
-SqliteBackend::~SqliteBackend() { sqlite3_close(conn_); }
+SqliteBackend::~SqliteBackend() {
+  ClearStatementCache();
+  sqlite3_close(conn_);
+}
 
 Status SqliteBackend::WaitBusyBackoff(int attempt, const CancelScope& cancel,
                                       std::string_view what) {
@@ -167,89 +183,113 @@ Status SqliteBackend::RunSql(const std::string& sql) {
   }
 }
 
-Status SqliteBackend::RegisterConstant(ConstantId id) {
-  std::string text = SqlConstantText(id, *vocab_);
-  if (!text.empty() && text.front() == kNullPrefix[0]) {
-    return InvalidArgumentError(
-        StrCat("constant '", vocab_->ConstantName(id),
-               "' begins with the byte reserved for labeled-null encoding"));
+StatusOr<sqlite3_stmt*> SqliteBackend::Prepare(const std::string& sql,
+                                               const CancelScope& cancel,
+                                               unsigned int flags) {
+  sqlite3_stmt* stmt = nullptr;
+  for (int attempt = 0;;) {
+    const int rc = sqlite3_prepare_v3(conn_, sql.c_str(),
+                                      static_cast<int>(sql.size()) + 1, flags,
+                                      &stmt, nullptr);
+    if (rc == SQLITE_OK) return stmt;
+    if (!IsBusyRc(rc)) return SqliteError(conn_, StrCat("prepare: ", sql));
+    OREW_RETURN_IF_ERROR(WaitBusyBackoff(attempt++, cancel, "prepare"));
   }
-  auto [it, inserted] = decode_.emplace(std::move(text), id);
-  if (!inserted && it->second != id) {
-    return InvalidArgumentError(StrCat(
-        "constants '", vocab_->ConstantName(it->second), "' and '",
-        vocab_->ConstantName(id),
-        "' have identical SQL encodings ('", it->first,
-        "'): SQL would equate values the in-memory evaluator distinguishes"));
-  }
-  return Status::Ok();
 }
 
-Status SqliteBackend::EnsureTable(PredicateId p) {
-  if (created_.count(p) > 0) return Status::Ok();
-  OREW_RETURN_IF_ERROR(RunSql(TableToSql(p, *vocab_)));
-  created_.insert(p);
-  return Status::Ok();
+StatusOr<sqlite3_stmt*> SqliteBackend::CachedStatement(
+    const std::string& sql, const CancelScope& cancel) {
+  auto it = statement_index_.find(sql);
+  if (it != statement_index_.end()) {
+    statements_.splice(statements_.begin(), statements_, it->second);
+    return it->second->stmt;
+  }
+  OREW_ASSIGN_OR_RETURN(sqlite3_stmt * stmt,
+                        Prepare(sql, cancel, SQLITE_PREPARE_PERSISTENT));
+  statements_.push_front(CachedStmt{sql, stmt});
+  statement_index_.emplace(statements_.front().sql, statements_.begin());
+  if (statements_.size() > kStatementCacheCapacity) {
+    statement_index_.erase(statements_.back().sql);
+    sqlite3_finalize(statements_.back().stmt);
+    statements_.pop_back();
+  }
+  return stmt;
 }
 
-Status SqliteBackend::Load(const TgdProgram& program, const Database& db) {
+void SqliteBackend::ClearStatementCache() {
+  statement_index_.clear();
+  for (const CachedStmt& cached : statements_) sqlite3_finalize(cached.stmt);
+  statements_.clear();
+}
+
+// The program fixes no schema here: only predicates with stored tuples get
+// a table, and the rendering spells every other one as an empty relation.
+Status SqliteBackend::Load(const TgdProgram& /*program*/, const Database& db) {
   OREW_RETURN_IF_ERROR(open_status_);
   std::lock_guard<std::mutex> lock(mutex_);
   loaded_ = false;
+  ClearStatementCache();
 
-  // Replace, don't merge: drop the previous schema entirely.
-  for (PredicateId p : created_) {
-    OREW_RETURN_IF_ERROR(RunSql(StrCat(
-        "DROP TABLE IF EXISTS ", SqlIdentifier(vocab_->PredicateName(p)),
-        ";")));
+  // Replace, don't merge: drop the previous schema entirely (a table's
+  // indexes go with it).
+  for (const auto& [p, table] : tables_) {
+    OREW_RETURN_IF_ERROR(RunSql(StrCat("DROP TABLE IF EXISTS ", table, ";")));
   }
-  created_.clear();
-  decode_.clear();
+  tables_.clear();
 
-  std::vector<PredicateId> predicates = program.Predicates();
-  for (PredicateId p : db.PredicatesPresent()) predicates.push_back(p);
-  std::sort(predicates.begin(), predicates.end());
-  predicates.erase(std::unique(predicates.begin(), predicates.end()),
-                   predicates.end());
+  std::vector<PredicateId> predicates;
+  for (PredicateId p : db.PredicatesPresent()) {
+    if (db.Find(p)->size() > 0) predicates.push_back(p);
+  }
+  // Index names share the tables' namespace; pick a prefix no table name
+  // starts with (CtePrefixFor does the same for CTE names).
+  std::string index_prefix = "orw_idx_";
+  for (int salt = 0;; ++salt) {
+    const bool clash = std::any_of(
+        predicates.begin(), predicates.end(), [&](PredicateId p) {
+          return vocab_->PredicateName(p).starts_with(index_prefix);
+        });
+    if (!clash) break;
+    index_prefix = StrCat("orw_idx", salt, "_");
+  }
 
   OREW_RETURN_IF_ERROR(RunSql("BEGIN;"));
   Status status = Status::Ok();
   for (PredicateId p : predicates) {
-    status = EnsureTable(p);
-    if (!status.ok()) break;
-    const Relation* relation = db.Find(p);
-    if (relation == nullptr || relation->size() == 0) continue;
-
-    std::string insert = StrCat(
-        "INSERT INTO ", SqlIdentifier(vocab_->PredicateName(p)), " VALUES (");
-    std::vector<std::string> holes;
-    for (int j = 0; j < relation->arity(); ++j) holes.push_back("?");
-    if (holes.empty()) holes.push_back("1");  // 0-ary sentinel column.
-    insert += StrJoin(holes, ", ");
-    insert += ");";
-    sqlite3_stmt* stmt = nullptr;
-    for (int attempt = 0;;) {
-      const int rc =
-          sqlite3_prepare_v2(conn_, insert.c_str(), -1, &stmt, nullptr);
-      if (rc == SQLITE_OK) break;
-      status = IsBusyRc(rc)
-                   ? WaitBusyBackoff(attempt++, CancelScope(), "prepare")
-                   : SqliteError(conn_, StrCat("prepare: ", insert));
-      if (!status.ok()) break;
+    const Relation& relation = *db.Find(p);
+    const int arity = relation.arity();
+    std::string table = SqlIdentifier(vocab_->PredicateName(p));
+    // A 0-ary predicate stores one sentinel column no query references.
+    std::vector<std::string> columns;
+    for (int j = 0; j < std::max(arity, 1); ++j) {
+      columns.push_back(StrCat("c", arity == 0 ? 0 : j + 1));
     }
+    std::vector<std::string> defs;
+    std::vector<std::string> holes;
+    for (const std::string& column : columns) {
+      defs.push_back(StrCat(column, " INTEGER NOT NULL"));
+      holes.push_back(arity == 0 ? "1" : "?");
+    }
+    status = RunSql(StrCat("CREATE TABLE ", table, " (", StrJoin(defs, ", "),
+                           ", PRIMARY KEY (", StrJoin(columns, ", "),
+                           ")) WITHOUT ROWID;"));
     if (!status.ok()) break;
+    tables_.emplace(p, table);
+
+    const std::string insert = StrCat("INSERT INTO ", table, " VALUES (",
+                                      StrJoin(holes, ", "), ");");
+    StatusOr<sqlite3_stmt*> stmt_or = Prepare(insert, CancelScope());
+    if (!stmt_or.ok()) {
+      status = stmt_or.status();
+      break;
+    }
+    sqlite3_stmt* stmt = *stmt_or;
     StmtGuard guard(stmt);
-    for (const Tuple& tuple : relation->tuples()) {
-      for (int j = 0; j < relation->arity(); ++j) {
-        Value v = tuple[static_cast<std::size_t>(j)];
-        if (v.is_constant()) {
-          status = RegisterConstant(v.id());
-          if (!status.ok()) break;
-        }
-        std::string text = EncodeValue(v, *vocab_);
-        if (sqlite3_bind_text(stmt, j + 1, text.data(),
-                              static_cast<int>(text.size()),
-                              SQLITE_TRANSIENT) != SQLITE_OK) {
+    for (const Tuple& tuple : relation.tuples()) {
+      for (int j = 0; j < arity; ++j) {
+        if (sqlite3_bind_int64(stmt, j + 1,
+                               EncodeCell(tuple[static_cast<std::size_t>(
+                                   j)])) != SQLITE_OK) {
           status = SqliteError(conn_, "bind");
           break;
         }
@@ -270,9 +310,20 @@ Status SqliteBackend::Load(const TgdProgram& program, const Database& db) {
       sqlite3_reset(stmt);
     }
     if (!status.ok()) break;
+    // Indexes are built after the rows, in one sorted pass each.
+    for (int j = 1; j < arity; ++j) {
+      status = RunSql(StrCat("CREATE INDEX ", index_prefix, p, "_c", j + 1,
+                             " ON ", table, " (c", j + 1, ");"));
+      if (!status.ok()) break;
+    }
+    if (!status.ok()) break;
   }
+  // A sample of each index is enough for the planner's row estimates and
+  // keeps ANALYZE from scanning large relations in full.
+  if (status.ok()) status = RunSql("PRAGMA analysis_limit = 1000; ANALYZE;");
   if (!status.ok()) {
     (void)RunSql("ROLLBACK;");
+    tables_.clear();
     return status;
   }
   OREW_RETURN_IF_ERROR(RunSql("COMMIT;"));
@@ -315,7 +366,7 @@ StatusOr<std::vector<Tuple>> SqliteBackend::Execute(
                       std::min(start + chunk_size, ucq.size());
     StatusOr<std::string> sql_or =
         UcqToSql(UnionOfCqs(std::vector<ConjunctiveQuery>(first, last)),
-                 *vocab_);
+                 *vocab_, rendering_);
     if (!sql_or.ok()) {
       emit_span.AnnotateStatus(sql_or.status());
       return sql_or.status();
@@ -330,13 +381,6 @@ StatusOr<std::vector<Tuple>> SqliteBackend::Execute(
     emit_span.Attr("chunks", static_cast<std::int64_t>(sqls.size()));
   }
   emit_span.End();
-
-  // Constants that appear only in the query still need a decoding (a
-  // constant answer term comes back as a result cell), and their
-  // encodings must not collide with loaded ones.
-  for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
-    OREW_RETURN_IF_ERROR(PrepareQuerySymbols(cq.answer_terms(), cq.body()));
-  }
 
   if (sqls.size() == 1) return RunQuerySql(sqls[0], ucq.arity(), options, stats);
   std::vector<Tuple> answers;
@@ -383,7 +427,8 @@ StatusOr<std::vector<Tuple>> SqliteBackend::ExecuteDatalog(
   OREW_RETURN_IF_ERROR(CheckFaultPoint("backend.exec"));
 
   TraceSpan emit_span(options.trace, "emit");
-  StatusOr<std::string> sql_or = DatalogToCteSql(program, *vocab_);
+  StatusOr<std::string> sql_or =
+      DatalogToCteSql(program, *vocab_, rendering_);
   if (!sql_or.ok()) {
     emit_span.AnnotateStatus(sql_or.status());
     return sql_or.status();
@@ -394,48 +439,15 @@ StatusOr<std::vector<Tuple>> SqliteBackend::ExecuteDatalog(
   emit_span.Attr("rules", static_cast<std::int64_t>(program.total_rules()));
   emit_span.End();
 
-  for (const DatalogRule& rule : program.output) {
-    OREW_RETURN_IF_ERROR(PrepareQuerySymbols(rule.head, rule.body));
-  }
-  for (const DatalogAux& aux : program.aux) {
-    for (const DatalogRule& rule : aux.rules) {
-      OREW_RETURN_IF_ERROR(PrepareQuerySymbols(rule.head, rule.body));
-    }
-  }
-
   return RunQuerySql(sql, program.arity, options, stats);
-}
-
-Status SqliteBackend::PrepareQuerySymbols(const std::vector<Term>& head,
-                                          const std::vector<Atom>& body) {
-  for (Term t : head) {
-    if (t.is_constant()) OREW_RETURN_IF_ERROR(RegisterConstant(t.id()));
-  }
-  for (const Atom& atom : body) {
-    // Aux predicates are CTEs, not tables; only base predicates the
-    // loaded schema has not seen need an empty relation.
-    if (!IsAuxPredicate(atom.predicate())) {
-      OREW_RETURN_IF_ERROR(EnsureTable(atom.predicate()));
-    }
-    for (Term t : atom.terms()) {
-      if (t.is_constant()) OREW_RETURN_IF_ERROR(RegisterConstant(t.id()));
-    }
-  }
-  return Status::Ok();
 }
 
 StatusOr<std::vector<Tuple>> SqliteBackend::RunQuerySql(
     const std::string& sql, int arity, const BackendExecOptions& options,
     EvalStats* stats) {
-  sqlite3_stmt* stmt = nullptr;
-  for (int attempt = 0;;) {
-    const int rc = sqlite3_prepare_v2(conn_, sql.c_str(), -1, &stmt, nullptr);
-    if (rc == SQLITE_OK) break;
-    if (!IsBusyRc(rc)) return SqliteError(conn_, StrCat("prepare: ", sql));
-    OREW_RETURN_IF_ERROR(
-        WaitBusyBackoff(attempt++, options.cancel, "prepare"));
-  }
-  StmtGuard guard(stmt);
+  OREW_ASSIGN_OR_RETURN(sqlite3_stmt * stmt,
+                        CachedStatement(sql, options.cancel));
+  StmtReset reset(stmt);
   ProgressGuard progress(conn_, options.cancel,
                          options_.progress_poll_instructions);
 
@@ -458,6 +470,8 @@ StatusOr<std::vector<Tuple>> SqliteBackend::RunQuerySql(
     }
   }
 
+  // Cells at or beyond this bound are not constants of the vocabulary.
+  const std::int64_t num_constants = vocab_->num_constants();
   std::vector<Tuple> answers;
   std::int64_t rows_matched = 0;
   // The scan restarts from scratch on SQLITE_BUSY/SQLITE_LOCKED (answers
@@ -493,21 +507,20 @@ StatusOr<std::vector<Tuple>> SqliteBackend::RunQuerySql(
       tuple.reserve(static_cast<std::size_t>(arity));
       bool has_null = false;
       for (int j = 0; j < arity; ++j) {
-        const unsigned char* raw = sqlite3_column_text(stmt, j);
-        std::string text(raw != nullptr
-                             ? reinterpret_cast<const char*>(raw)
-                             : "");
-        if (IsNullEncoding(text)) {
+        const std::int64_t cell = sqlite3_column_int64(stmt, j);
+        if (cell < 0) {
           has_null = true;
-          tuple.push_back(Value::Null(static_cast<std::int32_t>(
-              std::atoi(text.c_str() + kNullPrefixLen))));
+          tuple.push_back(Value::Null(static_cast<std::int32_t>(-(cell + 1))));
           continue;
         }
-        auto it = decode_.find(text);
-        ConstantId id =
-            it != decode_.end() ? it->second : vocab_->InternConstant(text);
-        if (it == decode_.end()) decode_.emplace(std::move(text), id);
-        tuple.push_back(Value::Constant(id));
+        if (cell >= num_constants) {
+          Status unknown = InternalError(
+              StrCat("sqlite: result cell ", cell,
+                     " is not a constant id of the vocabulary"));
+          scan_span.AnnotateStatus(unknown);
+          return unknown;
+        }
+        tuple.push_back(Value::Constant(static_cast<ConstantId>(cell)));
       }
       if (has_null && options.drop_tuples_with_nulls) continue;
       answers.push_back(std::move(tuple));
@@ -522,11 +535,12 @@ StatusOr<std::vector<Tuple>> SqliteBackend::RunQuerySql(
   }
   if (stats != nullptr) stats->matches += rows_matched;
   const int fullscan_steps =
-      sqlite3_stmt_status(stmt, SQLITE_STMTSTATUS_FULLSCAN_STEP, 0);
+      sqlite3_stmt_status(stmt, SQLITE_STMTSTATUS_FULLSCAN_STEP, 1);
   if (stats != nullptr) stats->tuples_examined += fullscan_steps;
 
-  // SQL's UNION already deduplicates *encodings*; sort and deduplicate in
-  // Value order so the result is byte-identical to the in-memory path.
+  // SQL's UNION already deduplicates; sort in Value order (and
+  // deduplicate, for merged chunks) so the result is byte-identical to the
+  // in-memory path.
   std::sort(answers.begin(), answers.end());
   answers.erase(std::unique(answers.begin(), answers.end()), answers.end());
   scan_span.Attr("fullscan_steps", static_cast<std::int64_t>(fullscan_steps));
@@ -538,9 +552,8 @@ StatusOr<std::int64_t> SqliteBackend::StoredTuples() {
   OREW_RETURN_IF_ERROR(open_status_);
   std::lock_guard<std::mutex> lock(mutex_);
   std::int64_t total = 0;
-  for (PredicateId p : created_) {
-    std::string sql = StrCat("SELECT COUNT(*) FROM ",
-                             SqlIdentifier(vocab_->PredicateName(p)), ";");
+  for (const auto& [p, table] : tables_) {
+    std::string sql = StrCat("SELECT COUNT(*) FROM ", table, ";");
     sqlite3_stmt* stmt = nullptr;
     if (sqlite3_prepare_v2(conn_, sql.c_str(), -1, &stmt, nullptr) !=
         SQLITE_OK) {
@@ -553,6 +566,11 @@ StatusOr<std::int64_t> SqliteBackend::StoredTuples() {
     total += sqlite3_column_int64(stmt, 0);
   }
   return total;
+}
+
+std::size_t SqliteBackend::cached_statements() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return statements_.size();
 }
 
 Status SqliteBackend::SetCompoundSelectLimitForTest(int limit) {

@@ -3,38 +3,50 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "backend/backend.h"
 #include "logic/vocabulary.h"
+#include "rewriting/sql.h"
 
-struct sqlite3;  // Opaque handle; <sqlite3.h> stays out of this header.
+// Opaque handles; <sqlite3.h> stays out of this header.
+struct sqlite3;
+struct sqlite3_stmt;
 
 // The paper's architecture made real: the rewriting is a plain UCQ, so it
 // can run on an actual SQL engine over the original extensional data.
 // SqliteBackend loads a Database into system libsqlite3 (in-memory by
-// default, or a file), executing the DDL from TableToSql and bulk
-// inserts inside one transaction with prepared statements, and executes
-// UCQs via UcqToSql.
+// default, or a file) in one transaction and executes UCQs via UcqToSql
+// and factored programs via DatalogToCteSql, both rendered with integer
+// constants and this backend's table resolver (rewriting/sql.h).
 //
-// Value encoding (see DESIGN.md "Backends"): a constant is stored as its
-// SqlConstantText — exactly the text the query emitter's literals
-// contain, so emitted comparisons match stored values — and decoded back
-// to its ConstantId through a map built at load time (constants first
-// seen in a result row are interned into the shared Vocabulary). A
-// labeled null N_i is stored as "\x1b:n<i>" (ESC prefix): SQL equality
-// then equates nulls exactly when their ids match, which is Value
-// identity — the same join semantics the in-memory evaluator uses. Two
-// distinct constants whose SqlConstantText coincide (e.g. `a` and `"a"`)
-// would be equated by SQL but not by the in-memory evaluator; Load
-// rejects such databases with InvalidArgument, as it does constants whose
-// text begins with the reserved ESC byte.
+// Physical design (see DESIGN.md "Backends"):
+//  * Every cell is an INTEGER. A constant is stored as its ConstantId —
+//    the emitter spells query constants the same way — and a labeled
+//    null N_i as -(i+1), so SQL equality equates nulls exactly when their
+//    ids match, the join semantics of the in-memory evaluator. Distinct
+//    constants are distinct integers, whatever their spelling (`a` and
+//    `"a"` stay two values). A result cell decodes with
+//    sqlite3_column_int64; a non-negative cell that is not a constant id
+//    of the vocabulary is an Internal error.
+//  * Each relation with tuples is a WITHOUT ROWID table keyed on all of
+//    its columns (relations are sets), with one secondary index per
+//    column after the first. ANALYZE (sampling at most 1000 rows per
+//    index) runs inside the load transaction, so the planner joins
+//    through the indexes instead of building automatic ones per request.
+//  * A predicate with no table — unknown, or with no stored tuples — is
+//    emitted as an empty inline relation: the read path runs no DDL.
+//  * Prepared statements of the last kStatementCacheCapacity distinct SQL
+//    texts are cached (LRU). A statement is reset on every exit path and
+//    its counters read with the reset flag, so nothing carries over from
+//    one request to the next; Load finalizes them all.
 //
 // Deadlines/cancellation map onto sqlite3_progress_handler: while a
 // statement runs, the handler polls the request's CancelScope every few
@@ -43,7 +55,8 @@ struct sqlite3;  // Opaque handle; <sqlite3.h> stays out of this header.
 //
 // One connection serves one statement at a time: Load and Execute
 // serialize on an internal mutex (the engine above fans parallelism
-// across requests, not within a connection).
+// across requests, not within a connection), so the connection is opened
+// without SQLite's own mutex.
 
 namespace ontorew {
 
@@ -73,9 +86,10 @@ struct SqliteBackendOptions {
 
 class SqliteBackend : public Backend {
  public:
-  // `vocab` must outlive the backend; decoding result rows may intern
-  // constants it has not seen (values present in a loaded file database
-  // but not in the vocabulary).
+  // Distinct SQL texts whose prepared statements stay cached.
+  static constexpr std::size_t kStatementCacheCapacity = 16;
+
+  // `vocab` must outlive the backend; result cells decode to its ids.
   explicit SqliteBackend(Vocabulary* vocab, SqliteBackendOptions options = {});
   ~SqliteBackend() override;
   SqliteBackend(const SqliteBackend&) = delete;
@@ -83,20 +97,18 @@ class SqliteBackend : public Backend {
 
   std::string_view name() const override { return "sqlite"; }
 
-  // Drops every table from a previous Load, recreates the schema for the
-  // program's predicates plus every predicate with stored facts, and bulk
-  // inserts all tuples in one transaction. Errors: Internal on SQLite
-  // failures (including a failed open in the constructor),
-  // InvalidArgument on ambiguous constant encodings (see above).
+  // Finalizes every cached statement, drops every table from a previous
+  // Load, and creates, fills, indexes and ANALYZEs one table per
+  // predicate with stored facts, in one transaction. Predicates without
+  // facts (including the program's) get no table. Errors: Internal on
+  // SQLite failures (including a failed open in the constructor).
   Status Load(const TgdProgram& program, const Database& db) override;
 
-  // Emits the UCQ as SQL and executes it. Predicates the loaded schema
-  // does not know are created empty first (a missing relation is an
-  // empty relation, as in the in-memory evaluator). Errors:
+  // Emits the UCQ as SQL and executes it. A predicate without a table is
+  // an empty relation, as in the in-memory evaluator. Errors:
   // FailedPrecondition before a successful Load, InvalidArgument on
-  // invalid queries or ambiguous constant encodings,
-  // DeadlineExceeded/Cancelled when options.cancel trips mid-statement,
-  // an injected "backend.exec" fault, Unavailable when busy/locked
+  // invalid queries, DeadlineExceeded/Cancelled when options.cancel trips
+  // mid-statement, an injected "backend.exec" fault, Unavailable when busy/locked
   // retries are exhausted (see busy_max_retries above), Internal on other
   // SQLite failures.
   StatusOr<std::vector<Tuple>> Execute(const UnionOfCqs& ucq,
@@ -114,6 +126,10 @@ class SqliteBackend : public Backend {
 
   // Tuples stored across all tables (COUNT(*) sweep), for tests/benches.
   StatusOr<std::int64_t> StoredTuples();
+
+  // Prepared statements currently cached (at most
+  // kStatementCacheCapacity), for tests.
+  std::size_t cached_statements();
 
   // Lowers SQLITE_LIMIT_COMPOUND_SELECT on this connection so tests can
   // exercise the oversized-union chunking in Execute and the unfold
@@ -135,20 +151,20 @@ class SqliteBackend : public Backend {
   // DeadlineExceeded/Cancelled when `cancel` trips. Callers hold mutex_.
   Status WaitBusyBackoff(int attempt, const CancelScope& cancel,
                          std::string_view what);
-  // Registers `id` as the decoding of its SqlConstantText; InvalidArgument
-  // when a different constant already claimed that text.
-  Status RegisterConstant(ConstantId id);
-  // CREATE TABLE for `p` unless this connection already has it.
-  Status EnsureTable(PredicateId p);
-  // Registers the constants of one rule/CQ and creates missing tables for
-  // its base predicates (aux predicates resolve to CTEs, not tables).
-  // Callers hold mutex_.
-  Status PrepareQuerySymbols(const std::vector<Term>& head,
-                             const std::vector<Atom>& body);
-  // Prepares and scans one emitted SQL query: busy-retried prepare,
-  // progress-handler cancellation, EXPLAIN-plan capture on the "scan"
-  // span, row decoding, sort+dedup. Callers hold mutex_ and have checked
-  // loaded_. Shared by Execute (UNION SQL) and ExecuteDatalog (CTE SQL).
+  // Prepares `sql` with busy retries. Callers hold mutex_.
+  StatusOr<sqlite3_stmt*> Prepare(const std::string& sql,
+                                  const CancelScope& cancel,
+                                  unsigned int flags = 0);
+  // The cached statement for `sql`, prepared and cached (evicting the
+  // least recently used one) on a miss. Callers hold mutex_.
+  StatusOr<sqlite3_stmt*> CachedStatement(const std::string& sql,
+                                          const CancelScope& cancel);
+  // Finalizes and forgets every cached statement. Callers hold mutex_.
+  void ClearStatementCache();
+  // Scans one emitted SQL query on its cached statement: progress-handler
+  // cancellation, EXPLAIN-plan capture on the "scan" span, row decoding,
+  // sort+dedup. Callers hold mutex_ and have checked loaded_. Shared by
+  // Execute (UNION SQL) and ExecuteDatalog (CTE SQL).
   StatusOr<std::vector<Tuple>> RunQuerySql(const std::string& sql, int arity,
                                            const BackendExecOptions& options,
                                            EvalStats* stats);
@@ -162,8 +178,19 @@ class SqliteBackend : public Backend {
   std::uint64_t busy_rng_state_ = 1;     // Jitter state; guarded by mutex_.
   std::atomic<std::int64_t> busy_retries_{0};
   bool loaded_ = false;
-  std::unordered_set<PredicateId> created_;  // Tables in the current schema.
-  std::unordered_map<std::string, ConstantId> decode_;
+  // Quoted table name of each predicate with stored tuples; guarded by
+  // mutex_, like everything below.
+  std::unordered_map<PredicateId, std::string> tables_;
+  // Integer constants, tables_ names, empty relations for the rest.
+  SqlRendering rendering_;
+
+  struct CachedStmt {
+    std::string sql;
+    sqlite3_stmt* stmt;
+  };
+  std::list<CachedStmt> statements_;  // Most recently used first.
+  std::unordered_map<std::string_view, std::list<CachedStmt>::iterator>
+      statement_index_;  // Keys view statements_' sql strings.
 };
 
 }  // namespace ontorew

@@ -42,17 +42,24 @@ std::string CtePrefixFor(const Vocabulary& vocab) {
 
 StatusOr<std::string> DatalogToCteSql(const DatalogProgram& program,
                                       const Vocabulary& vocab) {
+  return DatalogToCteSql(program, vocab, SqlRendering());
+}
+
+StatusOr<std::string> DatalogToCteSql(const DatalogProgram& program,
+                                      const Vocabulary& vocab,
+                                      const SqlRendering& rendering) {
   OREW_RETURN_IF_ERROR(program.Validate());
   const std::string prefix = CtePrefixFor(vocab);
-  SqlTableResolver resolver = [&prefix, &vocab](PredicateId p) {
+  SqlRendering resolved = rendering;
+  resolved.table = [&prefix, &vocab, &rendering](PredicateId p) {
     if (IsAuxPredicate(p)) {
       return SqlIdentifier(StrCat(prefix, AuxIndex(p)));
     }
-    return SqlIdentifier(vocab.PredicateName(p));
+    return rendering.table ? rendering.table(p)
+                           : SqlIdentifier(vocab.PredicateName(p));
   };
   auto rule_select = [&](const DatalogRule& rule) {
-    return CqToSqlResolved(ConjunctiveQuery(rule.head, rule.body), vocab,
-                           resolver);
+    return CqToSql(ConjunctiveQuery(rule.head, rule.body), vocab, resolved);
   };
 
   std::string sql;

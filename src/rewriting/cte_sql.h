@@ -6,6 +6,7 @@
 #include "base/status.h"
 #include "logic/vocabulary.h"
 #include "rewriting/datalog.h"
+#include "rewriting/sql.h"
 
 // Rendering of a factored nonrecursive Datalog program (rewriting/
 // datalog.h) as a single WITH-CTE SQL query: each aux predicate becomes
@@ -45,6 +46,13 @@ std::string CtePrefixFor(const Vocabulary& vocab);
 // clause). Errors on an invalid program.
 StatusOr<std::string> DatalogToCteSql(const DatalogProgram& program,
                                       const Vocabulary& vocab);
+
+// As above, rendered through `rendering` (rewriting/sql.h): aux
+// predicates still resolve to the CTE names, base predicates and
+// constants go through `rendering`.
+StatusOr<std::string> DatalogToCteSql(const DatalogProgram& program,
+                                      const Vocabulary& vocab,
+                                      const SqlRendering& rendering);
 
 }  // namespace ontorew
 

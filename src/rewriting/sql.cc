@@ -12,8 +12,11 @@
 namespace ontorew {
 namespace {
 
-// Escapes a constant for a single-quoted SQL string literal.
-std::string SqlLiteral(ConstantId id, const Vocabulary& vocab) {
+// Escapes a constant for a single-quoted SQL string literal, or spells
+// its id under SqlConstantForm::kIntegerId.
+std::string SqlLiteral(ConstantId id, const Vocabulary& vocab,
+                       SqlConstantForm form) {
+  if (form == SqlConstantForm::kIntegerId) return StrCat(id);
   std::string name = SqlConstantText(id, vocab);
   std::string escaped;
   escaped.reserve(name.size() + 2);
@@ -97,15 +100,20 @@ std::string SqlIdentifier(std::string_view name) {
 
 StatusOr<std::string> CqToSql(const ConjunctiveQuery& cq,
                               const Vocabulary& vocab) {
-  return CqToSqlResolved(cq, vocab, [&vocab](PredicateId p) {
-    return SqlIdentifier(vocab.PredicateName(p));
-  });
+  return CqToSql(cq, vocab, SqlRendering());
 }
 
-StatusOr<std::string> CqToSqlResolved(const ConjunctiveQuery& cq,
-                                      const Vocabulary& vocab,
-                                      const SqlTableResolver& resolver) {
+StatusOr<std::string> CqToSql(const ConjunctiveQuery& cq,
+                              const Vocabulary& vocab,
+                              const SqlRendering& rendering) {
   OREW_RETURN_IF_ERROR(cq.Validate());
+  auto table = [&](PredicateId p) {
+    return rendering.table ? rendering.table(p)
+                           : SqlIdentifier(vocab.PredicateName(p));
+  };
+  auto literal = [&](ConstantId id) {
+    return SqlLiteral(id, vocab, rendering.constants);
+  };
 
   // First binding site of each variable: "t<i>.c<j>".
   std::unordered_map<VariableId, std::string> binding;
@@ -114,12 +122,12 @@ StatusOr<std::string> CqToSqlResolved(const ConjunctiveQuery& cq,
   for (std::size_t i = 0; i < cq.body().size(); ++i) {
     const Atom& atom = cq.body()[i];
     std::string alias = StrCat("t", i);
-    from.push_back(StrCat(resolver(atom.predicate()), " AS ", alias));
+    from.push_back(StrCat(table(atom.predicate()), " AS ", alias));
     for (int j = 0; j < atom.arity(); ++j) {
       std::string column = StrCat(alias, ".c", j + 1);
       Term t = atom.term(j);
       if (t.is_constant()) {
-        where.push_back(StrCat(column, " = ", SqlLiteral(t.id(), vocab)));
+        where.push_back(StrCat(column, " = ", literal(t.id())));
         continue;
       }
       auto [it, inserted] = binding.emplace(t.id(), column);
@@ -133,7 +141,7 @@ StatusOr<std::string> CqToSqlResolved(const ConjunctiveQuery& cq,
   for (std::size_t i = 0; i < cq.answer_terms().size(); ++i) {
     Term t = cq.answer_terms()[i];
     std::string value =
-        t.is_constant() ? SqlLiteral(t.id(), vocab) : binding.at(t.id());
+        t.is_constant() ? literal(t.id()) : binding.at(t.id());
     select.push_back(StrCat(value, " AS a", i + 1));
   }
   if (select.empty()) select.push_back("1 AS a1");  // Boolean query.
@@ -148,13 +156,26 @@ StatusOr<std::string> CqToSqlResolved(const ConjunctiveQuery& cq,
 
 StatusOr<std::string> UcqToSql(const UnionOfCqs& ucq,
                                const Vocabulary& vocab) {
+  return UcqToSql(ucq, vocab, SqlRendering());
+}
+
+StatusOr<std::string> UcqToSql(const UnionOfCqs& ucq,
+                               const Vocabulary& vocab,
+                               const SqlRendering& rendering) {
   OREW_RETURN_IF_ERROR(ucq.Validate());
   std::vector<std::string> parts;
   for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
-    OREW_ASSIGN_OR_RETURN(std::string sql, CqToSql(cq, vocab));
+    OREW_ASSIGN_OR_RETURN(std::string sql, CqToSql(cq, vocab, rendering));
     parts.push_back(std::move(sql));
   }
   return StrJoin(parts, "\nUNION\n");
+}
+
+std::string SqlEmptyRelation(int arity) {
+  std::vector<std::string> columns;
+  for (int j = 0; j < arity; ++j) columns.push_back(StrCat("NULL AS c", j + 1));
+  if (columns.empty()) columns.push_back("NULL AS c0");
+  return StrCat("(SELECT ", StrJoin(columns, ", "), " WHERE 0)");
 }
 
 std::string TableToSql(PredicateId predicate, const Vocabulary& vocab) {

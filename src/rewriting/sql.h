@@ -25,6 +25,12 @@
 //
 // Boolean queries select a constant 1. The emitted SQL is standard enough
 // for SQLite/PostgreSQL given tables named after the predicates.
+//
+// A backend with its own physical design renders through SqlRendering:
+// its table resolver names the relation behind each predicate (or an
+// empty inline relation, SqlEmptyRelation, for one it stores no table
+// for), and constants may be spelled as their integer ids instead of
+// quoted text.
 
 namespace ontorew {
 
@@ -32,29 +38,49 @@ namespace ontorew {
 StatusOr<std::string> CqToSql(const ConjunctiveQuery& cq,
                               const Vocabulary& vocab);
 
-// Maps a predicate to the (already quoted) SQL identifier of the table
-// or CTE that holds it. CqToSql uses the default resolver (the quoted
-// vocabulary name); the CTE emitter (rewriting/cte_sql.h) routes the
-// factored program's virtual aux predicates to prefixed CTE names while
-// base predicates keep the default mapping.
+// Maps a predicate to the FROM source that holds it: an (already quoted)
+// table or CTE identifier, or an inline relation. The CTE emitter
+// (rewriting/cte_sql.h) routes the factored program's virtual aux
+// predicates to prefixed CTE names; base predicates go through the
+// caller's rendering.
 using SqlTableResolver = std::function<std::string(PredicateId)>;
 
-// As CqToSql, but each body atom's FROM entry is named by `resolver`.
-// Column references stay c1..ck regardless of the resolved name, so
-// resolved CTEs must declare that column list.
-StatusOr<std::string> CqToSqlResolved(const ConjunctiveQuery& cq,
-                                      const Vocabulary& vocab,
-                                      const SqlTableResolver& resolver);
+// How constants appear in emitted SQL: as the single-quoted
+// SqlConstantText literal, or as the bare ConstantId — the stored form
+// of a backend that dictionary-encodes its cells as integers.
+enum class SqlConstantForm { kText, kIntegerId };
+
+// The backend-specific half of emission. An empty `table` resolver
+// names every predicate by its quoted vocabulary name.
+struct SqlRendering {
+  SqlTableResolver table;
+  SqlConstantForm constants = SqlConstantForm::kText;
+};
+
+// As CqToSql, rendered through `rendering`. Column references stay
+// c1..ck whatever the resolver names, so a resolved CTE or inline
+// relation must declare that column list.
+StatusOr<std::string> CqToSql(const ConjunctiveQuery& cq,
+                              const Vocabulary& vocab,
+                              const SqlRendering& rendering);
 
 // Renders the whole union. Errors on an invalid or empty UCQ.
 StatusOr<std::string> UcqToSql(const UnionOfCqs& ucq,
                                const Vocabulary& vocab);
+StatusOr<std::string> UcqToSql(const UnionOfCqs& ucq,
+                               const Vocabulary& vocab,
+                               const SqlRendering& rendering);
+
+// A FROM source with columns c1..ck (c0 when 0-ary, as in TableToSql)
+// and no rows: how a resolver spells a predicate that has no table, so
+// reading an unknown relation needs no DDL.
+std::string SqlEmptyRelation(int arity);
 
 // The text a constant's SQL literal *contains* (surrounding double quotes
 // from the parser's string-literal syntax stripped, no SQL escaping).
-// This is the canonical stored form: backends that load facts into a real
-// database must store exactly this text so that the literals the query
-// emitter produces compare equal to the stored values.
+// This is the stored form for the text rendering (TableToSql's schema):
+// a database loaded with exactly this text compares equal to the
+// literals SqlConstantForm::kText emits.
 std::string SqlConstantText(ConstantId id, const Vocabulary& vocab);
 
 // Renders a table/column identifier: bare when it is a plain identifier
@@ -62,7 +88,8 @@ std::string SqlConstantText(ConstantId id, const Vocabulary& vocab);
 // doubled.
 std::string SqlIdentifier(std::string_view name);
 
-// The CREATE TABLE statement for one predicate (text columns c1..ck). A
+// The CREATE TABLE statement for one predicate (text columns c1..ck), the
+// portable schema the default text rendering queries. A
 // 0-ary (propositional) predicate gets a single sentinel column c0 —
 // zero-column tables are not valid SQL — which no emitted query ever
 // references; presence of any row encodes "true".

@@ -1,13 +1,19 @@
 #include "backend/backend.h"
 
+#include <sqlite3.h>
+
+#include <chrono>
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "backend/sqlite_backend.h"
 #include "base/deadline.h"
 #include "base/fault_point.h"
 #include "base/rng.h"
+#include "base/trace.h"
 #include "db/eval.h"
 #include "gtest/gtest.h"
 #include "rewriting/datalog.h"
@@ -251,20 +257,34 @@ TEST(BackendTest, NullsJoinByIdentityAndAreDroppedFromAnswers) {
   EXPECT_EQ(*answers, (std::vector<Tuple>{{a}, {n1}}));
 }
 
-TEST(BackendTest, AmbiguousConstantEncodingRejectedAtLoad) {
-  // `a` and `"a"` are distinct constants in-memory but identical TEXT in
-  // SQL; silently loading them would make the backends disagree, so Load
-  // must refuse.
+TEST(BackendTest, TextuallyEqualConstantsStayDistinct) {
+  // `a` and `"a"` are distinct constants whose SQL text coincides. Cells
+  // store constant ids, not text, so both load and come back as two
+  // values, exactly as the in-memory evaluator answers.
   Vocabulary vocab;
   TgdProgram program;
   PredicateId r = vocab.MustPredicate("r", 1);
+  const Value bare = Value::Constant(vocab.InternConstant("a"));
+  const Value quoted = Value::Constant(vocab.InternConstant("\"a\""));
   Database db;
-  db.Insert(r, {Value::Constant(vocab.InternConstant("a"))});
-  db.Insert(r, {Value::Constant(vocab.InternConstant("\"a\""))});
+  db.Insert(r, {bare});
+  db.Insert(r, {quoted});
 
-  SqliteBackend sqlite(&vocab);
-  Status load = sqlite.Load(program, db);
-  EXPECT_EQ(load.code(), StatusCode::kInvalidArgument) << load;
+  UnionOfCqs all(MustQuery("q(X) :- r(X).", &vocab));
+  EXPECT_EQ(ExpectBackendsAgree(program, db, all, &vocab),
+            (std::vector<Tuple>{{bare}, {quoted}}));
+
+  // Selecting one of them by constant matches that one only.
+  ConjunctiveQuery only_quoted(std::vector<Term>{},
+                               {Atom(r, {Term::Const(quoted.id())})});
+  EXPECT_EQ(
+      ExpectBackendsAgree(program, db, UnionOfCqs(only_quoted), &vocab).size(),
+      1u);
+  PredicateId s = vocab.MustPredicate("s", 2);
+  db.Insert(s, {bare, bare});
+  UnionOfCqs join(MustQuery("q(X) :- r(X), s(X, Y).", &vocab));
+  EXPECT_EQ(ExpectBackendsAgree(program, db, join, &vocab),
+            std::vector<Tuple>{{bare}});
 }
 
 TEST(BackendTest, UnknownPredicateIsEmptyNotError) {
@@ -481,6 +501,271 @@ TEST(BackendTest, UniversityRewritingAgreesAcrossBackends) {
     ASSERT_TRUE(rewriting.ok()) << text << ": " << rewriting.status();
     ExpectBackendsAgree(ontology, db, rewriting->ucq, &vocab);
   }
+}
+
+TEST(BackendTest, ReadPathRunsNoDdl) {
+  // A predicate with no table is spelled as an empty inline relation, so
+  // queries over fresh predicate names answer the empty set without
+  // touching the schema: sqlite_master, read through a second
+  // connection, and the schema cookie stay exactly as Load left them.
+  const std::string path = ::testing::TempDir() + "backend_no_ddl.db";
+  std::remove(path.c_str());
+  Vocabulary vocab;
+  TgdProgram program = MustProgram("r(X, Y) -> s(X).", &vocab);
+  Database db;
+  db.Insert(vocab.FindPredicate("r"),
+            {Value::Constant(vocab.InternConstant("a")),
+             Value::Constant(vocab.InternConstant("b"))});
+  SqliteBackendOptions options;
+  options.path = path;
+  SqliteBackend sqlite(&vocab, options);
+  ASSERT_TRUE(sqlite.Load(program, db).ok());
+
+  auto schema = [&path]() {
+    sqlite3* conn = nullptr;
+    EXPECT_EQ(sqlite3_open_v2(path.c_str(), &conn, SQLITE_OPEN_READONLY,
+                              nullptr),
+              SQLITE_OK);
+    std::string dump;
+    sqlite3_stmt* stmt = nullptr;
+    EXPECT_EQ(sqlite3_prepare_v2(
+                  conn,
+                  "SELECT type, name, COALESCE(sql, '') FROM sqlite_master "
+                  "ORDER BY type, name",
+                  -1, &stmt, nullptr),
+              SQLITE_OK);
+    while (sqlite3_step(stmt) == SQLITE_ROW) {
+      for (int j = 0; j < 3; ++j) {
+        dump += reinterpret_cast<const char*>(sqlite3_column_text(stmt, j));
+        dump += '|';
+      }
+      dump += '\n';
+    }
+    sqlite3_finalize(stmt);
+    EXPECT_EQ(sqlite3_prepare_v2(conn, "PRAGMA schema_version", -1, &stmt,
+                                 nullptr),
+              SQLITE_OK);
+    if (sqlite3_step(stmt) == SQLITE_ROW) {
+      dump += "cookie=" + std::to_string(sqlite3_column_int64(stmt, 0));
+    }
+    sqlite3_finalize(stmt);
+    sqlite3_close(conn);
+    return dump;
+  };
+  const std::string before = schema();
+  EXPECT_NE(before.find("table|r|"), std::string::npos) << before;
+
+  for (int i = 0; i < 1000; ++i) {
+    const std::string name = "fresh" + std::to_string(i);
+    UnionOfCqs q(MustQuery("q(X) :- r(X, Y), " + name + "(Y).", &vocab));
+    StatusOr<std::vector<Tuple>> answers = sqlite.Execute(q, {});
+    ASSERT_TRUE(answers.ok()) << name << ": " << answers.status();
+    EXPECT_TRUE(answers->empty()) << name;
+  }
+  // The program's own predicate `s` has no facts, hence no table either.
+  StatusOr<std::vector<Tuple>> from_s =
+      sqlite.Execute(UnionOfCqs(MustQuery("q(X) :- s(X).", &vocab)), {});
+  ASSERT_TRUE(from_s.ok()) << from_s.status();
+  EXPECT_TRUE(from_s->empty());
+  EXPECT_EQ(schema(), before);
+  std::remove(path.c_str());
+}
+
+// --- Prepared-statement cache -----------------------------------------------
+
+TEST(BackendTest, CachedStatementSeesReloadedData) {
+  Vocabulary vocab;
+  TgdProgram program;
+  PredicateId r = vocab.MustPredicate("r", 2);
+  auto c = [&](const char* name) {
+    return Value::Constant(vocab.InternConstant(name));
+  };
+  Database first;
+  first.Insert(r, {c("a"), c("b")});
+  Database second;
+  second.Insert(r, {c("c"), c("d")});
+  second.Insert(r, {c("e"), c("d")});
+
+  SqliteBackend sqlite(&vocab);
+  UnionOfCqs q(MustQuery("q(X) :- r(X, Y).", &vocab));
+  ASSERT_TRUE(sqlite.Load(program, first).ok());
+  StatusOr<std::vector<Tuple>> before = sqlite.Execute(q, {});
+  ASSERT_TRUE(before.ok()) << before.status();
+  EXPECT_EQ(*before, std::vector<Tuple>{{c("a")}});
+  EXPECT_EQ(sqlite.cached_statements(), 1u);
+
+  ASSERT_TRUE(sqlite.Load(program, second).ok());
+  EXPECT_EQ(sqlite.cached_statements(), 0u);
+  StatusOr<std::vector<Tuple>> after = sqlite.Execute(q, {});
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(*after, (std::vector<Tuple>{{c("c")}, {c("e")}}));
+
+  // A reload that drops r altogether: the same query now reads the empty
+  // inline relation, not a stale statement over the dropped table.
+  ASSERT_TRUE(sqlite.Load(program, Database()).ok());
+  StatusOr<std::vector<Tuple>> empty = sqlite.Execute(q, {});
+  ASSERT_TRUE(empty.ok()) << empty.status();
+  EXPECT_TRUE(empty->empty());
+}
+
+// r holds `n` rows; q(A, C) :- r(A, B), r(C, D), r(E, F) steps through
+// n^3 combinations for n^2 answers — long enough to cut short, short
+// enough to finish.
+struct SlowQueryFixture {
+  Vocabulary vocab;
+  TgdProgram program;
+  Database db;
+  UnionOfCqs query;
+
+  explicit SlowQueryFixture(int n)
+      : query(MustQuery("q(A, C) :- r(A, B), r(C, D), r(E, F).", &vocab)) {
+    PredicateId r = vocab.FindPredicate("r");
+    for (int i = 0; i < n; ++i) {
+      db.Insert(r, {Value::Constant(
+                        vocab.InternConstant("x" + std::to_string(i))),
+                    Value::Constant(
+                        vocab.InternConstant("y" + std::to_string(i)))});
+    }
+  }
+};
+
+TEST(BackendTest, StatementCutShortIsResetForTheNextRequest) {
+  FaultQuiesce quiesce;
+  SlowQueryFixture fx(120);
+  SqliteBackendOptions options;
+  options.busy_max_retries = 2;
+  options.busy_initial_backoff = std::chrono::microseconds(50);
+  options.busy_max_backoff = std::chrono::microseconds(100);
+  SqliteBackend sqlite(&fx.vocab, options);
+  ASSERT_TRUE(sqlite.Load(fx.program, fx.db).ok());
+  const std::size_t full = 120u * 120u;
+  EvalStats reference_stats;
+  StatusOr<std::vector<Tuple>> reference =
+      sqlite.Execute(fx.query, {}, &reference_stats);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_EQ(reference->size(), full);
+
+  auto expect_full_rerun = [&](const char* after) {
+    EvalStats stats;
+    StatusOr<std::vector<Tuple>> again = sqlite.Execute(fx.query, {}, &stats);
+    ASSERT_TRUE(again.ok()) << after << ": " << again.status();
+    EXPECT_EQ(*again, *reference) << after;
+    EXPECT_EQ(stats.tuples_examined, reference_stats.tuples_examined)
+        << after;
+    EXPECT_EQ(sqlite.cached_statements(), 1u) << after;
+  };
+
+  // Deadline: the progress handler interrupts the scan mid-way.
+  BackendExecOptions deadline;
+  deadline.cancel = CancelScope(Deadline::AfterMillis(2));
+  EXPECT_EQ(sqlite.Execute(fx.query, deadline).status().code(),
+            StatusCode::kDeadlineExceeded);
+  expect_full_rerun("deadline");
+
+  // Cancel: the token trips while the statement runs.
+  auto token = std::make_shared<CancelToken>();
+  BackendExecOptions cancel;
+  cancel.cancel = CancelScope(Deadline::Infinite(), token);
+  std::thread canceller([token] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    token->Cancel();
+  });
+  StatusOr<std::vector<Tuple>> cancelled = sqlite.Execute(fx.query, cancel);
+  canceller.join();
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+  expect_full_rerun("cancel");
+
+  // Busy: every attempt reports contention until retries run out.
+  FaultRegistry::Global().Arm("backend.busy", {.probability = 1.0});
+  EXPECT_EQ(sqlite.Execute(fx.query, {}).status().code(),
+            StatusCode::kUnavailable);
+  FaultRegistry::Global().Disarm("backend.busy");
+  expect_full_rerun("busy");
+}
+
+TEST(BackendTest, IdenticalExecutionsReportEqualTuplesExamined) {
+  // Full-scan steps are read with the reset flag: a cached statement
+  // must not carry its counter from one request into the next.
+  SlowQueryFixture fx(20);
+  SqliteBackend sqlite(&fx.vocab);
+  ASSERT_TRUE(sqlite.Load(fx.program, fx.db).ok());
+  EvalStats first;
+  EvalStats second;
+  ASSERT_TRUE(sqlite.Execute(fx.query, {}, &first).ok());
+  ASSERT_TRUE(sqlite.Execute(fx.query, {}, &second).ok());
+  EXPECT_GT(first.tuples_examined, 0);
+  EXPECT_EQ(first.tuples_examined, second.tuples_examined);
+  EXPECT_EQ(first.matches, second.matches);
+}
+
+TEST(BackendTest, StatementCacheStaysAtItsCapacity) {
+  Vocabulary vocab;
+  TgdProgram program;
+  PredicateId r = vocab.MustPredicate("r", 2);
+  Database db;
+  db.Insert(r, {Value::Constant(vocab.InternConstant("a")),
+                Value::Constant(vocab.InternConstant("c7"))});
+  SqliteBackend sqlite(&vocab);
+  ASSERT_TRUE(sqlite.Load(program, db).ok());
+  for (int i = 0; i < 5000; ++i) {
+    UnionOfCqs q(
+        MustQuery("q(X) :- r(X, c" + std::to_string(i) + ").", &vocab));
+    StatusOr<std::vector<Tuple>> answers = sqlite.Execute(q, {});
+    ASSERT_TRUE(answers.ok()) << answers.status();
+    EXPECT_EQ(answers->size(), i == 7 ? 1u : 0u) << i;
+    EXPECT_LE(sqlite.cached_statements(),
+              SqliteBackend::kStatementCacheCapacity);
+  }
+  EXPECT_EQ(sqlite.cached_statements(),
+            SqliteBackend::kStatementCacheCapacity);
+}
+
+TEST(BackendTest, UniversityJoinPlansBuildNoAutomaticIndex) {
+  // Plan regression: with every relation keyed and indexed, and ANALYZE
+  // run at Load, no arm of the join rewriting needs SQLite to build an
+  // automatic index per request.
+  Vocabulary vocab;
+  TgdProgram ontology = UniversityOntology(&vocab);
+  Rng rng(20);
+  UniversityInstanceOptions instance;
+  instance.num_students = 200;
+  Database db = UniversityInstance(instance, &rng, &vocab);
+  // Each student knows the next two, as in the serving benchmark.
+  PredicateId knows = vocab.MustPredicate("knows", 2);
+  auto student = [&vocab](int i) {
+    return Value::Constant(
+        vocab.InternConstant("stud" + std::to_string(i % 200)));
+  };
+  for (int i = 0; i < 200; ++i) {
+    db.Insert(knows, {student(i), student(i + 1)});
+    db.Insert(knows, {student(i), student(i + 2)});
+  }
+  StatusOr<RewriteResult> rewriting = RewriteCq(
+      MustQuery("q(X0) :- person(X0), knows(X0, X1), person(X1).", &vocab),
+      ontology);
+  ASSERT_TRUE(rewriting.ok()) << rewriting.status();
+  ASSERT_GT(rewriting->ucq.size(), 1);
+
+  SqliteBackend sqlite(&vocab);
+  ASSERT_TRUE(sqlite.Load(ontology, db).ok());
+  Trace trace;
+  BackendExecOptions exec;
+  exec.trace = TraceContext(&trace);
+  StatusOr<std::vector<Tuple>> answers =
+      sqlite.Execute(rewriting->ucq, exec);
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  EXPECT_FALSE(answers->empty());
+
+  int plan_rows = 0;
+  for (const SpanRecord& span : trace.Snapshot()) {
+    if (span.name != "scan") continue;
+    for (const auto& [key, value] : span.attributes) {
+      if (key != "plan") continue;
+      ++plan_rows;
+      EXPECT_EQ(value.find("AUTOMATIC"), std::string::npos) << value;
+    }
+  }
+  EXPECT_GT(plan_rows, 0) << trace.ToString();
 }
 
 // --- SQLITE_BUSY retry/backoff ----------------------------------------------

@@ -181,8 +181,7 @@ TEST(SqlTest, ZeroAryTableGetsSentinelColumn) {
 }
 
 TEST(SqlTest, SingleTableDdlMatchesSchemaEntry) {
-  // TableToSql is the per-predicate unit SchemaToSql is built from; the
-  // SQLite backend calls it for predicates discovered after Load.
+  // TableToSql is the per-predicate unit SchemaToSql is built from.
   Vocabulary vocab;
   TgdProgram program = MustProgram("order(X, Y) -> s(X).", &vocab);
   PredicateId order = vocab.FindPredicate("order");
