@@ -1,12 +1,12 @@
 // Backend comparison (DESIGN.md "Backends"): the same rewritten UCQs
 // executed by the two Backend implementations — InMemoryBackend (the
-// built-in evaluator behind the Backend interface) and SqliteBackend
-// (facts loaded into an in-memory SQLite database, the rewriting run as
-// plain SQL). Two costs matter operationally:
+// engine's default evaluator behind the Backend interface) and
+// SqliteBackend (facts loaded into an in-memory SQLite database, the
+// rewriting run as plain SQL). Two costs matter operationally:
 //
-//  - load time: InMemory copies the Database; SQLite creates tables and
-//    bulk-inserts every fact inside one transaction. Paid once per
-//    ReplaceDatabase, amortized over all queries.
+//  - load time: InMemory keeps a pointer to the shared Database; SQLite
+//    creates tables and bulk-inserts every fact inside one transaction.
+//    Paid once per ReplaceDatabase, amortized over all queries.
 //  - per-query latency: hash-join evaluator vs SQLite's planner over
 //    the emitted SELECT ... UNION ... text.
 //
@@ -76,13 +76,16 @@ std::unique_ptr<Backend> MakeBackend(int which, Vocabulary* vocab) {
   return std::make_unique<SqliteBackend>(vocab);
 }
 
-// Load cost: program schema + every fact into a fresh backend.
+// Load cost: program schema + every fact into a fresh backend. The
+// database is shared, as the engine shares its snapshot, so the in-memory
+// backend's load copies nothing.
 void BM_BackendLoad(benchmark::State& state) {
   Scenario scenario = MakeScenario(static_cast<int>(state.range(1)));
+  const auto db = std::make_shared<const Database>(scenario.db);
   for (auto _ : state) {
     std::unique_ptr<Backend> backend =
         MakeBackend(static_cast<int>(state.range(0)), &scenario.vocab);
-    Status status = backend->Load(scenario.ontology, scenario.db);
+    Status status = backend->Load(scenario.ontology, db);
     OREW_CHECK(status.ok()) << status;
     benchmark::DoNotOptimize(backend);
   }
@@ -99,8 +102,9 @@ void RunExecBenchmark(benchmark::State& state, const UnionOfCqs& ucq,
       MakeBackend(static_cast<int>(state.range(0)), &scenario.vocab);
   std::unique_ptr<Backend> other =
       MakeBackend(1 - static_cast<int>(state.range(0)), &scenario.vocab);
-  OREW_CHECK(backend->Load(scenario.ontology, scenario.db).ok());
-  OREW_CHECK(other->Load(scenario.ontology, scenario.db).ok());
+  const auto db = std::make_shared<const Database>(scenario.db);
+  OREW_CHECK(backend->Load(scenario.ontology, db).ok());
+  OREW_CHECK(other->Load(scenario.ontology, db).ok());
   BackendExecOptions exec;
   StatusOr<std::vector<Tuple>> reference = other->Execute(ucq, exec);
   OREW_CHECK(reference.ok()) << reference.status();
@@ -195,7 +199,8 @@ void RunUnionVsCteBenchmark(benchmark::State& state, Vocabulary* vocab,
                             const UnionOfCqs& ucq,
                             const DatalogProgram& datalog) {
   SqliteBackend backend(vocab);
-  OREW_CHECK(backend.Load(ontology, db).ok());
+  OREW_CHECK(
+      backend.Load(ontology, std::make_shared<const Database>(db)).ok());
   BackendExecOptions exec;
   const bool cte = state.range(0) == 1;
   StatusOr<std::vector<Tuple>> reference = backend.Execute(ucq, exec);

@@ -25,6 +25,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -284,7 +285,8 @@ void AppendE2eRows(std::string* json, bool* first) {
     }
   }
   SqliteBackend backend(&vocab);
-  Status loaded = backend.Load(ontology, db);
+  Status loaded =
+      backend.Load(ontology, std::make_shared<const Database>(db));
   OREW_CHECK(loaded.ok()) << loaded;
 
   std::vector<Tuple> answers[2];

@@ -10,7 +10,7 @@
 // The optional TIMEOUT_MS bounds each serve end-to-end: a divergent
 // saturation comes back as a DeadlineExceeded error instead of hanging
 // the shell. BACKEND picks where the rewriting executes: "memory"
-// (default, the built-in evaluator) or "sqlite" (an in-memory SQLite
+// (default, the in-memory evaluator) or "sqlite" (an in-memory SQLite
 // database loaded with the facts; the rewriting runs as plain SQL).
 //
 //   $ ./build/examples/obda_shell data/university.tgd /dev/null

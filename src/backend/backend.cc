@@ -11,19 +11,27 @@ StatusOr<std::vector<Tuple>> Backend::ExecuteDatalog(
   return Execute(unfolded, options, stats);
 }
 
-Status InMemoryBackend::Load(const TgdProgram& program, const Database& db) {
+Status InMemoryBackend::Load(const TgdProgram& /*program*/,
+                             std::shared_ptr<const Database> db) {
   // The evaluator treats a missing relation as empty, so the program's
   // signature needs no materialization here — only the facts matter.
-  (void)program;
-  db_ = db;
-  loaded_ = true;
+  std::lock_guard<std::mutex> lock(mutex_);
+  db_ = std::move(db);
   return Status::Ok();
+}
+
+std::shared_ptr<const Database> InMemoryBackend::Pin() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return db_;
 }
 
 StatusOr<std::vector<Tuple>> InMemoryBackend::Execute(
     const UnionOfCqs& ucq, const BackendExecOptions& options,
     EvalStats* stats) {
-  if (!loaded_) {
+  // Pinned for the whole evaluation: a concurrent Load swaps the pointer
+  // without touching the database this request reads.
+  const std::shared_ptr<const Database> db = Pin();
+  if (db == nullptr) {
     return FailedPreconditionError("InMemoryBackend: Execute before Load");
   }
   ParallelEvalOptions eval;
@@ -31,7 +39,7 @@ StatusOr<std::vector<Tuple>> InMemoryBackend::Execute(
   eval.eval.drop_tuples_with_nulls = options.drop_tuples_with_nulls;
   eval.eval.cancel = options.cancel;
   eval.trace = options.trace;
-  return ParallelEvaluate(ucq, db_, eval, stats);
+  return ParallelEvaluate(ucq, *db, eval, stats);
 }
 
 }  // namespace ontorew

@@ -1,6 +1,8 @@
 #ifndef ONTOREW_BACKEND_BACKEND_H_
 #define ONTOREW_BACKEND_BACKEND_H_
 
+#include <memory>
+#include <mutex>
 #include <string_view>
 #include <vector>
 
@@ -16,9 +18,10 @@
 // Execution backends: where a (rewritten) UCQ actually runs. The paper's
 // punchline is that FO-rewritability lets certain-answer computation be
 // delegated to a plain SQL engine; a Backend is that delegation point.
-// The serving layer (AnswerEngine) computes the rewriting and hands the
-// resulting UCQ to a Backend, which holds the extensional data and
-// returns answer tuples as Value rows.
+// The serving layer (AnswerEngine) computes the rewriting and hands it to
+// a Backend, which holds the extensional data and returns answer tuples
+// as Value rows. Every engine evaluates through one: an InMemoryBackend
+// sharing the engine's data unless the caller configures another.
 //
 // Contract (asserted by tests/differential_test.cc against the chase
 // oracle): for the same loaded database, every backend returns the *same*
@@ -29,7 +32,9 @@
 //    drop_tuples_with_nulls is set (certain-answer semantics);
 //  * a 0-ary (boolean) UCQ answers with one empty tuple or none;
 //  * cancellation is cooperative: a tripped deadline/token returns
-//    DeadlineExceeded/Cancelled, never a partial answer set.
+//    DeadlineExceeded/Cancelled, never a partial answer set;
+//  * Load may run concurrently with Execute: each Execute answers over
+//    one whole loaded database, the old one or the new one.
 
 namespace ontorew {
 
@@ -60,8 +65,10 @@ class Backend {
 
   // Replaces all stored facts with `db`'s contents; `program` is the
   // ontology they are served under. A predicate with no facts reads as an
-  // empty relation. Must be called before Execute.
-  virtual Status Load(const TgdProgram& program, const Database& db) = 0;
+  // empty relation. Must be called before Execute. `db` is immutable and
+  // shared: a backend may keep the pointer instead of copying the facts.
+  virtual Status Load(const TgdProgram& program,
+                      std::shared_ptr<const Database> db) = 0;
 
   // Executes a UCQ over the loaded facts and returns the sorted,
   // deduplicated answer tuples. Accumulates scan counters into *stats
@@ -81,24 +88,27 @@ class Backend {
       EvalStats* stats = nullptr);
 };
 
-// The reference backend: a copy of the Database evaluated with the
-// existing index-nested-loop evaluator, disjuncts fanned across the
-// parallel_eval worker pool.
+// The reference backend: the loaded Database, shared with the loader and
+// never copied, evaluated with the index-nested-loop evaluator, disjuncts
+// fanned across the parallel_eval worker pool.
 class InMemoryBackend : public Backend {
  public:
-  InMemoryBackend() = default;
-
   std::string_view name() const override { return "inmemory"; }
-  Status Load(const TgdProgram& program, const Database& db) override;
+  Status Load(const TgdProgram& program,
+              std::shared_ptr<const Database> db) override;
   StatusOr<std::vector<Tuple>> Execute(const UnionOfCqs& ucq,
                                        const BackendExecOptions& options,
                                        EvalStats* stats = nullptr) override;
 
-  const Database& db() const { return db_; }
+  // The loaded database (after the first Load). Not safe to hold across
+  // a concurrent Load; Execute pins its own.
+  const Database& db() const { return *Pin(); }
 
  private:
-  Database db_;
-  bool loaded_ = false;
+  std::shared_ptr<const Database> Pin() const;
+
+  mutable std::mutex mutex_;  // Guards db_ (the pointer, not the pointee).
+  std::shared_ptr<const Database> db_;  // Null until the first Load.
 };
 
 }  // namespace ontorew

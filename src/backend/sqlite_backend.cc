@@ -224,7 +224,9 @@ void SqliteBackend::ClearStatementCache() {
 
 // The program fixes no schema here: only predicates with stored tuples get
 // a table, and the rendering spells every other one as an empty relation.
-Status SqliteBackend::Load(const TgdProgram& /*program*/, const Database& db) {
+Status SqliteBackend::Load(const TgdProgram& /*program*/,
+                           std::shared_ptr<const Database> data) {
+  const Database& db = *data;
   OREW_RETURN_IF_ERROR(open_status_);
   std::lock_guard<std::mutex> lock(mutex_);
   loaded_ = false;

@@ -102,7 +102,8 @@ class SqliteBackend : public Backend {
   // predicate with stored facts, in one transaction. Predicates without
   // facts (including the program's) get no table. Errors: Internal on
   // SQLite failures (including a failed open in the constructor).
-  Status Load(const TgdProgram& program, const Database& db) override;
+  Status Load(const TgdProgram& program,
+              std::shared_ptr<const Database> db) override;
 
   // Emits the UCQ as SQL and executes it. A predicate without a table is
   // an empty relation, as in the in-memory evaluator. Errors:

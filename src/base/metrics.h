@@ -66,6 +66,7 @@ class MetricsRegistry {
 
 // RAII wall-clock timer: accumulates the elapsed time into
 // `registry->AddTimeNs(name)` on destruction. A null registry disables it.
+// `name` is not copied: it must outlive the timer.
 class ScopedTimer {
  public:
   ScopedTimer(MetricsRegistry* registry, std::string_view name)
@@ -84,7 +85,7 @@ class ScopedTimer {
 
  private:
   MetricsRegistry* registry_;
-  std::string name_;
+  std::string_view name_;
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <limits>
 #include <utility>
 
 #include "backend/sqlite_backend.h"
@@ -44,20 +43,6 @@ bool WriteAll(int fd, std::string_view data) {
   }
   return true;
 }
-
-// Runs `fn` when the scope unwinds — releases admission slots and
-// inflight counts on every exit path, including error returns.
-template <typename Fn>
-class ScopeExit {
- public:
-  explicit ScopeExit(Fn fn) : fn_(std::move(fn)) {}
-  ScopeExit(const ScopeExit&) = delete;
-  ScopeExit& operator=(const ScopeExit&) = delete;
-  ~ScopeExit() { fn_(); }
-
- private:
-  Fn fn_;
-};
 
 std::vector<std::string> SplitLines(std::string_view text) {
   std::vector<std::string> lines;
@@ -103,6 +88,7 @@ std::string OntologyServer::Reply::Serialize() const {
 
 OntologyServer::OntologyServer(OntologyServerOptions options)
     : options_(options),
+      gate_(options.max_inflight_global, options.admission_timeout),
       shared_cache_(
           std::make_shared<RewriteCache>(options.shared_cache_capacity)) {}
 
@@ -123,10 +109,7 @@ Status OntologyServer::AddTenant(TenantSpec spec) {
     return InvalidArgumentError(StrCat("duplicate tenant '", spec.name, "'"));
   }
 
-  auto tenant = std::make_unique<Tenant>();
-  tenant->name = spec.name;
-  tenant->use_sqlite = spec.use_sqlite;
-  tenant->max_inflight = spec.quota.max_inflight;
+  auto tenant = std::make_unique<Tenant>(spec);
 
   StatusOr<TgdProgram> program =
       ParseProgram(spec.program_text, &tenant->vocab);
@@ -206,15 +189,9 @@ Status OntologyServer::Shutdown(std::chrono::nanoseconds drain_deadline) {
 
   // Phase 1: let inflight requests finish within the drain budget. New
   // requests are already being shed (draining_ is checked before
-  // admission), so admitted_ can only fall.
-  bool drained = true;
-  std::size_t stragglers = 0;
-  {
-    std::unique_lock<std::mutex> lock(admission_mutex_);
-    drained = admission_cv_.wait_for(lock, drain_deadline,
-                                     [this] { return admitted_ == 0; });
-    stragglers = admitted_;
-  }
+  // admission), so the global gate can only empty.
+  const bool drained = gate_.WaitIdle(drain_deadline);
+  const std::size_t stragglers = gate_.inflight();
 
   // Phase 2: force-cancel stragglers through the server-wide token that
   // every request's ServeOptions chains. Cancellation is cooperative and
@@ -223,7 +200,7 @@ Status OntologyServer::Shutdown(std::chrono::nanoseconds drain_deadline) {
 
   stopping_.store(true, std::memory_order_release);
   queue_cv_.notify_all();
-  admission_cv_.notify_all();
+  gate_.Close();
   if (acceptor_.joinable()) acceptor_.join();
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
@@ -251,7 +228,7 @@ Status OntologyServer::Shutdown(std::chrono::nanoseconds drain_deadline) {
 int OntologyServer::brownout_level() const {
   if (options_.max_inflight_global == 0) return 0;
   const double ratio =
-      static_cast<double>(inflight_.load(std::memory_order_relaxed)) /
+      static_cast<double>(gate_.inflight()) /
       static_cast<double>(options_.max_inflight_global);
   if (ratio >= options_.shed_optional_ratio) return 2;
   if (ratio >= options_.shed_tracing_ratio) return 1;
@@ -265,52 +242,18 @@ std::vector<std::string> OntologyServer::tenant_names() const {
   return names;
 }
 
-Status OntologyServer::AcquireGlobalSlot(const Deadline& request_deadline) {
-  const std::size_t cap = options_.max_inflight_global == 0
-                              ? std::numeric_limits<std::size_t>::max()
-                              : options_.max_inflight_global;
-  std::unique_lock<std::mutex> lock(admission_mutex_);
-  if (admitted_ >= cap) {
-    // Queue for a slot, but never past the request's own deadline: a
-    // request whose budget dies in the queue must report
-    // DeadlineExceeded (the caller's deadline), not ResourceExhausted
-    // (a server shed) — clients treat the two differently.
-    Deadline give_up = Deadline::Earlier(
-        Deadline::After(options_.admission_timeout), request_deadline);
-    const bool got = admission_cv_.wait_until(
-        lock, give_up.time(), [this, cap] {
-          return admitted_ < cap || stopping_.load(std::memory_order_acquire);
-        });
-    if (!got || admitted_ >= cap) {
-      if (request_deadline.expired()) {
-        metrics_.Increment("server_queue_deadline");
-        return DeadlineExceededError(
-            "request deadline expired while queued for a server slot");
-      }
-      metrics_.Increment("server_shed_global");
-      return ResourceExhaustedError(StrCat(
-          "server at capacity (", cap, " inflight) — retry with backoff"));
-    }
-  }
-  ++admitted_;
-  inflight_.store(admitted_, std::memory_order_relaxed);
-  metrics_.SetGauge("server_inflight",
-                    static_cast<std::int64_t>(admitted_));
-  return Status::Ok();
-}
-
-void OntologyServer::ReleaseGlobalSlot() {
-  std::lock_guard<std::mutex> lock(admission_mutex_);
-  --admitted_;
-  inflight_.store(admitted_, std::memory_order_relaxed);
-  metrics_.SetGauge("server_inflight", static_cast<std::int64_t>(admitted_));
-  admission_cv_.notify_all();
-}
-
 OntologyServer::Reply OntologyServer::ShedReply(std::string_view why) const {
   Reply reply;
   reply.status = UnavailableError(
       StrCat(why, " — retry after backoff"));
+  reply.retry_after_ms = options_.default_retry_after_ms;
+  return reply;
+}
+
+OntologyServer::Reply OntologyServer::AdmissionRefused(
+    std::string_view layer, const Status& status) const {
+  Reply reply;
+  reply.status = Status(status.code(), StrCat(layer, " ", status.message()));
   reply.retry_after_ms = options_.default_retry_after_ms;
   return reply;
 }
@@ -379,32 +322,33 @@ OntologyServer::Reply OntologyServer::HandleQuery(
     }
   }
 
-  // Layer 2: the tenant's inflight cap.
-  const std::size_t tenant_inflight =
-      tenant.inflight.fetch_add(1, std::memory_order_acq_rel) + 1;
-  ScopeExit tenant_release([&tenant] {
-    tenant.inflight.fetch_sub(1, std::memory_order_acq_rel);
-  });
-  if (tenant.max_inflight > 0 && tenant_inflight > tenant.max_inflight) {
+  // Layer 2: the tenant's inflight cap. Its gate never queues, so the
+  // only refusal is a shed.
+  Status admitted = tenant.gate.Acquire(Deadline::Infinite());
+  if (!admitted.ok()) {
     metrics_.Increment("server_shed_tenant_inflight");
-    Reply reply;
-    reply.status = ResourceExhaustedError(
-        StrCat("tenant '", tenant.name, "' inflight cap (",
-               tenant.max_inflight, ") reached"));
-    reply.retry_after_ms = options_.default_retry_after_ms;
-    return reply;
+    return AdmissionRefused(StrCat("tenant '", tenant.name, "'"), admitted);
   }
 
   // Layer 3: a global slot, queueing deadline-aware.
-  Status admitted = AcquireGlobalSlot(deadline);
+  admitted = gate_.Acquire(deadline);
   if (!admitted.ok()) {
-    Reply reply;
-    reply.status = std::move(admitted);
-    reply.retry_after_ms = options_.default_retry_after_ms;
-    return reply;
+    tenant.gate.Release();
+    metrics_.Increment(admitted.code() == StatusCode::kDeadlineExceeded
+                           ? "server_queue_deadline"
+                           : "server_shed_global");
+    return AdmissionRefused("server", admitted);
   }
-  ScopeExit global_release([this] { ReleaseGlobalSlot(); });
+  metrics_.AdjustGauge("server_inflight", 1);
+  Reply reply = ServeAdmitted(tenant, request, deadline);
+  metrics_.AdjustGauge("server_inflight", -1);
+  gate_.Release();
+  tenant.gate.Release();
+  return reply;
+}
 
+OntologyServer::Reply OntologyServer::ServeAdmitted(
+    Tenant& tenant, const WireRequest& request, const Deadline& deadline) {
   // Brownout ladder: under sustained load shed cheap optional work
   // before ever shedding a request.
   const int level = brownout_level();
@@ -486,7 +430,7 @@ OntologyServer::Reply OntologyServer::HandleTenants() {
   for (const auto& [name, tenant] : tenants_) {
     reply.info.push_back(
         StrCat(name, " inflight=",
-               tenant->inflight.load(std::memory_order_relaxed),
+               tenant->gate.inflight(),
                " backend=", tenant->use_sqlite ? "sqlite" : "memory"));
   }
   return reply;

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/admission_gate.h"
 #include "base/deadline.h"
 #include "base/metrics.h"
 #include "base/status.h"
@@ -41,8 +42,11 @@
 //                                                 (the caller ran out of
 //                                                 budget; the server did
 //                                                 not shed it).
-// All three are retryable on the wire; parse errors and unknown tenants
-// are not (see IsRetryableStatusCode).
+// Layers 2 and 3, and the admission of each tenant's AnswerEngine behind
+// them, are the same AdmissionGate (base/admission_gate.h): the tenant
+// gate never queues (timeout 0), the global gate queues for
+// admission_timeout. All three layers are retryable on the wire; parse
+// errors and unknown tenants are not (see IsRetryableStatusCode).
 //
 // Graceful degradation is a brownout ladder driven by the global
 // inflight ratio — shed cheap optional work before shedding requests:
@@ -98,9 +102,10 @@ struct TenantSpec {
   std::string facts_text;
   TenantQuota quota;
   // Evaluate through a per-tenant in-memory SqliteBackend instead of the
-  // built-in parallel evaluator. SQLite serializes on one connection, so
-  // the server also holds the tenant's vocabulary lock across the whole
-  // Serve (SQL emission and row decoding read the vocabulary).
+  // engine's default InMemoryBackend. SQLite serializes on one
+  // connection, so the server also holds the tenant's vocabulary lock
+  // across the whole Serve (SQL emission and row decoding read the
+  // vocabulary).
   bool use_sqlite = false;
   // Per-tenant engine tuning. shared_cache, and (when use_sqlite) the
   // backend, are overwritten by the server.
@@ -162,9 +167,7 @@ class OntologyServer {
   RewriteCacheStats shared_cache_stats() const {
     return shared_cache_->stats();
   }
-  std::size_t inflight() const {
-    return inflight_.load(std::memory_order_relaxed);
-  }
+  std::size_t inflight() const { return gate_.inflight(); }
   // 0 = healthy, 1 = shedding traces, 2 = also shedding minimization.
   int brownout_level() const;
   std::vector<std::string> tenant_names() const;
@@ -178,6 +181,11 @@ class OntologyServer {
 
  private:
   struct Tenant {
+    explicit Tenant(const TenantSpec& spec)
+        : name(spec.name),
+          gate(spec.quota.max_inflight, std::chrono::nanoseconds(0)),
+          use_sqlite(spec.use_sqlite) {}
+
     std::string name;
     // Vocabulary is NOT thread-safe; vocab_mutex guards every parse and
     // render. For sqlite tenants it is held across the whole Serve (SQL
@@ -186,8 +194,7 @@ class OntologyServer {
     std::mutex vocab_mutex;
     std::unique_ptr<AnswerEngine> engine;
     std::unique_ptr<TokenBucket> bucket;  // Null: no rate quota.
-    std::size_t max_inflight = 0;
-    std::atomic<std::size_t> inflight{0};
+    AdmissionGate gate;                   // Layer 2: never queues.
     bool use_sqlite = false;
   };
 
@@ -220,15 +227,17 @@ class OntologyServer {
   bool ServiceReadable(Connection* conn);
 
   Reply HandleQuery(const struct WireRequest& request);
+  // Answers a query holding its tenant and global admission slots.
+  Reply ServeAdmitted(Tenant& tenant, const WireRequest& request,
+                      const Deadline& deadline);
   Reply HandleStats();
   Reply HandleTenants();
   Reply ShedReply(std::string_view why) const;
-
-  // Global slot acquisition with a deadline-aware bounded queue.
-  Status AcquireGlobalSlot(const Deadline& request_deadline);
-  void ReleaseGlobalSlot();
+  // The reply for a request a `layer` admission gate refused.
+  Reply AdmissionRefused(std::string_view layer, const Status& status) const;
 
   OntologyServerOptions options_;
+  AdmissionGate gate_;  // Layer 3: the global slots.
   std::shared_ptr<RewriteCache> shared_cache_;
   std::map<std::string, std::unique_ptr<Tenant>> tenants_;
 
@@ -245,14 +254,6 @@ class OntologyServer {
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::deque<std::unique_ptr<Connection>> pending_connections_;
-
-  // Global admission slots (layer 3): guarded by admission_mutex_; the
-  // separate atomic mirror feeds brownout_level() and inflight() without
-  // taking the lock.
-  std::mutex admission_mutex_;
-  std::condition_variable admission_cv_;
-  std::size_t admitted_ = 0;
-  std::atomic<std::size_t> inflight_{0};
 
   MetricsRegistry metrics_;
 };

@@ -8,7 +8,6 @@
 #include "logic/canonical.h"
 #include "rewriting/cte_sql.h"
 #include "rewriting/dag_rewriter.h"
-#include "rewriting/datalog.h"
 #include "rewriting/sql.h"
 
 namespace ontorew {
@@ -80,6 +79,19 @@ std::shared_ptr<const DatalogProgram> DatalogOf(
   return std::shared_ptr<const DatalogProgram>(cached, &*cached->datalog);
 }
 
+// The requests_by_status_<Code> counter name, from a table built once.
+std::string_view RequestsByStatusName(StatusCode code) {
+  static const std::vector<std::string> kNames = [] {
+    std::vector<std::string> names;
+    for (int c = 0; c <= static_cast<int>(StatusCode::kUnavailable); ++c) {
+      names.push_back(StrCat("requests_by_status_",
+                             StatusCodeName(static_cast<StatusCode>(c))));
+    }
+    return names;
+  }();
+  return kNames[static_cast<std::size_t>(code)];
+}
+
 }  // namespace
 
 std::uint64_t FingerprintProgram(const TgdProgram& program) {
@@ -100,31 +112,34 @@ AnswerEngine::AnswerEngine(TgdProgram program, Database db,
       fingerprint_(FingerprintProgram(*program_)),
       cache_(options_.shared_cache != nullptr
                  ? options_.shared_cache
-                 : std::make_shared<RewriteCache>(options_.cache_capacity)) {
+                 : std::make_shared<RewriteCache>(options_.cache_capacity)),
+      gate_(options_.max_inflight, options_.admission_timeout) {
+  if (options_.backend == nullptr) {
+    options_.backend = std::make_shared<InMemoryBackend>();
+  }
+  const std::string_view name = options_.backend->name();
+  backend_metrics_ = {StrCat("backend_", name, "_exec"),
+                      StrCat("backend_", name, "_exec_ns"),
+                      StrCat("backend_", name, "_load"),
+                      StrCat("backend_", name, "_load_ns")};
   ReloadBackend();
 }
 
 AnswerEngine::Snapshot AnswerEngine::CurrentSnapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return Snapshot{program_, db_, fingerprint_};
+  return Snapshot{program_, db_, fingerprint_, backend_status_};
 }
 
 void AnswerEngine::ReloadBackend() {
-  if (options_.backend == nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    backend_load_status_ = Status::Ok();
-    return;
-  }
   const Snapshot snap = CurrentSnapshot();
-  const std::string prefix = StrCat("backend_", options_.backend->name());
   Status status;
   {
-    ScopedTimer timer(&metrics_, StrCat(prefix, "_load_ns"));
-    status = options_.backend->Load(*snap.program, *snap.db);
+    ScopedTimer timer(&metrics_, backend_metrics_.load_ns);
+    status = options_.backend->Load(*snap.program, snap.db);
   }
-  if (status.ok()) metrics_.Increment(StrCat(prefix, "_load"));
+  if (status.ok()) metrics_.Increment(backend_metrics_.load);
   std::lock_guard<std::mutex> lock(mutex_);
-  backend_load_status_ = std::move(status);
+  backend_status_ = std::move(status);
 }
 
 void AnswerEngine::AddTgd(Tgd tgd) {
@@ -165,7 +180,7 @@ bool AnswerEngine::ChaseTerminates() const {
     if (wa_cache_.has_value() && wa_cache_->first == fingerprint_) {
       return wa_cache_->second;
     }
-    snap = Snapshot{program_, db_, fingerprint_};
+    snap = Snapshot{program_, db_, fingerprint_, backend_status_};
   }
   // Classify outside the lock (the classifier walks the whole program).
   const bool weakly_acyclic = IsWeaklyAcyclic(*snap.program);
@@ -174,16 +189,6 @@ bool AnswerEngine::ChaseTerminates() const {
   // swapped in mid-classification must not inherit this verdict.
   wa_cache_ = {snap.fingerprint, weakly_acyclic};
   return weakly_acyclic;
-}
-
-StatusOr<std::shared_ptr<const UnionOfCqs>> AnswerEngine::Rewrite(
-    const UnionOfCqs& query, const CancelScope& cancel,
-    const TraceContext& trace) {
-  StatusOr<std::shared_ptr<const CachedRewriting>> cached =
-      RewriteInternal(query, cancel, trace, nullptr, CurrentSnapshot(),
-                      RewriteTarget::kUcq);
-  if (!cached.ok()) return cached.status();
-  return UcqOf(*cached);
 }
 
 StatusOr<std::shared_ptr<const CachedRewriting>> AnswerEngine::RewriteInternal(
@@ -293,78 +298,6 @@ StatusOr<std::shared_ptr<const CachedRewriting>> AnswerEngine::RewriteInternal(
   return rewriting;
 }
 
-Status AnswerEngine::Admit(const CancelScope& scope) {
-  if (options_.max_inflight == 0) {
-    // Unlimited: still maintain the gauge.
-    std::lock_guard<std::mutex> lock(admission_mutex_);
-    ++inflight_;
-    metrics_.SetGauge("inflight", static_cast<std::int64_t>(inflight_));
-    return Status::Ok();
-  }
-  std::unique_lock<std::mutex> lock(admission_mutex_);
-  if (inflight_ >= options_.max_inflight) {
-    // Queue for a slot, but never past the request's own deadline: a
-    // request that would time out while queued is shed immediately
-    // instead of wasting its budget waiting.
-    auto give_up = Deadline::Clock::now() + options_.admission_timeout;
-    if (!scope.deadline().is_infinite() &&
-        scope.deadline().time() < give_up) {
-      give_up = scope.deadline().time();
-    }
-    const bool admitted = admission_cv_.wait_until(lock, give_up, [this] {
-      return inflight_ < options_.max_inflight;
-    });
-    if (!admitted) {
-      // Distinguish WHY the wait ended without a slot: the request's own
-      // deadline expiring while queued is the caller's budget running out
-      // (DeadlineExceeded — retrying with the same deadline is hopeless),
-      // while the admission timeout elapsing is the server shedding load
-      // (ResourceExhausted — retry with backoff). Neither consumes a
-      // slot. The requests_by_status counters pin the split.
-      if (scope.deadline().expired()) {
-        metrics_.Increment("admission_queue_deadline");
-        return DeadlineExceededError(
-            StrCat("deadline expired while queued for admission (",
-                   inflight_, " requests in flight, max ",
-                   options_.max_inflight, ")"));
-      }
-      metrics_.Increment("requests_shed");
-      return ResourceExhaustedError(
-          StrCat("shed: ", inflight_, " requests in flight (max ",
-                 options_.max_inflight, ")"));
-    }
-  }
-  ++inflight_;
-  metrics_.SetGauge("inflight", static_cast<std::int64_t>(inflight_));
-  return Status::Ok();
-}
-
-void AnswerEngine::Release() {
-  {
-    std::lock_guard<std::mutex> lock(admission_mutex_);
-    --inflight_;
-    metrics_.SetGauge("inflight", static_cast<std::int64_t>(inflight_));
-  }
-  admission_cv_.notify_one();
-}
-
-std::size_t AnswerEngine::inflight() const {
-  std::lock_guard<std::mutex> lock(admission_mutex_);
-  return inflight_;
-}
-
-// Releases the admission slot on every exit path out of ServeAdmitted.
-class AnswerEngine::AdmissionSlot {
- public:
-  explicit AdmissionSlot(AnswerEngine* engine) : engine_(engine) {}
-  AdmissionSlot(const AdmissionSlot&) = delete;
-  AdmissionSlot& operator=(const AdmissionSlot&) = delete;
-  ~AdmissionSlot() { engine_->Release(); }
-
- private:
-  AnswerEngine* engine_;
-};
-
 StatusOr<AnswerResult> AnswerEngine::Serve(const UnionOfCqs& query,
                                            const ServeOptions& serve) {
   metrics_.Increment("queries_served");
@@ -373,29 +306,34 @@ StatusOr<AnswerResult> AnswerEngine::Serve(const UnionOfCqs& query,
   // One requests_by_status_<Code> tick per Serve, on every exit path —
   // the counter split tests (and dashboards) key on.
   const auto record_status = [this](StatusCode code) {
-    metrics_.Increment(StrCat("requests_by_status_", StatusCodeName(code)));
+    metrics_.Increment(RequestsByStatusName(code));
   };
 
   Status admitted;
   {
     TraceSpan admit_span(serve_span.context(), "admit");
-    admitted = Admit(scope);
+    admitted = gate_.Acquire(scope.deadline());
     admit_span.AnnotateStatus(admitted);
   }
   if (!admitted.ok()) {
     serve_span.AnnotateStatus(admitted);
     record_status(admitted.code());
     if (admitted.code() == StatusCode::kDeadlineExceeded) {
+      metrics_.Increment("admission_queue_deadline");
       metrics_.Increment("deadline_exceeded");
+    } else {
+      metrics_.Increment("requests_shed");
     }
     return admitted;
   }
-  AdmissionSlot slot(this);
+  metrics_.AdjustGauge("inflight", 1);
 
   StatusOr<AnswerResult> result =
       ServeAdmitted(query, scope, serve_span.context(),
                     serve.target.value_or(options_.target),
                     serve.shed_optional_work);
+  metrics_.AdjustGauge("inflight", -1);
+  gate_.Release();
   record_status(result.ok() ? StatusCode::kOk : result.status().code());
   if (!result.ok()) {
     serve_span.AnnotateStatus(result.status());
@@ -454,75 +392,38 @@ StatusOr<AnswerResult> AnswerEngine::ServeAdmitted(
   result.rewriting = UcqOf(cached);
   result.datalog = DatalogOf(cached);
 
+  TraceSpan eval_span(trace, "eval");
+  if (!snap.backend_status.ok()) {
+    eval_span.AnnotateStatus(snap.backend_status);
+    return snap.backend_status;
+  }
+  Backend& backend = *options_.backend;
+  eval_span.Attr("backend", backend.name());
+  BackendExecOptions exec;
+  exec.drop_tuples_with_nulls = options_.eval.drop_tuples_with_nulls;
   // The per-request scope tightens the engine-wide eval options.
-  const CancelScope eval_scope(
+  exec.cancel = CancelScope(
       Deadline::Earlier(options_.eval.cancel.deadline(), scope.deadline()),
       scope.token() != nullptr ? scope.token()
                                : options_.eval.cancel.token());
-  TraceSpan eval_span(trace, "eval");
-  if (options_.backend != nullptr) {
-    // Delegated execution: the rewriting runs on the configured backend
-    // (the paper's "plain SQL over the original database" stage).
-    Status load_status;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      load_status = backend_load_status_;
-    }
-    if (!load_status.ok()) {
-      eval_span.AnnotateStatus(load_status);
-      return load_status;
-    }
-    eval_span.Attr("backend", options_.backend->name());
-    BackendExecOptions exec;
-    exec.drop_tuples_with_nulls = options_.eval.drop_tuples_with_nulls;
-    exec.cancel = eval_scope;
-    exec.num_threads = options_.num_threads;
-    exec.trace = eval_span.context();
-    const std::string prefix = StrCat("backend_", options_.backend->name());
-    ScopedTimer timer(&metrics_, StrCat(prefix, "_exec_ns"));
+  exec.num_threads = options_.num_threads;
+  exec.trace = eval_span.context();
+  {
+    ScopedTimer timer(&metrics_, backend_metrics_.exec_ns);
     // Under kCte the factored program goes to the backend natively (a SQL
     // backend runs it as one WITH-CTE statement; others unfold); under
-    // kUcq the flat union runs as before.
+    // kUcq the flat union runs as is.
     StatusOr<std::vector<Tuple>> answers =
         result.datalog != nullptr
-            ? options_.backend->ExecuteDatalog(*result.datalog, exec,
-                                               &result.eval)
-            : options_.backend->Execute(*result.rewriting, exec, &result.eval);
-    if (!answers.ok()) {
-      eval_span.AnnotateStatus(answers.status());
-      return answers.status();
-    }
-    result.answers = std::move(answers).value();
-    metrics_.Increment(StrCat(prefix, "_exec"));
-  } else {
-    eval_span.Attr("backend", "builtin");
-    std::shared_ptr<const UnionOfCqs> flat = result.rewriting;
-    if (flat == nullptr) {
-      // A kCte entry caches only the factored program; the builtin
-      // evaluator wants a flat union, so unfold on demand (bounded by the
-      // unfolder's disjunct cap). Not cached — the cache must not retain
-      // the artifact the DAG path exists to avoid materializing.
-      StatusOr<UnionOfCqs> unfolded = UnfoldDatalog(*result.datalog);
-      if (!unfolded.ok()) {
-        eval_span.AnnotateStatus(unfolded.status());
-        return unfolded.status();
-      }
-      flat = std::make_shared<const UnionOfCqs>(std::move(unfolded).value());
-    }
-    ParallelEvalOptions eval_options;
-    eval_options.num_threads = options_.num_threads;
-    eval_options.eval = options_.eval;
-    eval_options.eval.cancel = eval_scope;
-    eval_options.trace = eval_span.context();
-    ScopedTimer timer(&metrics_, "eval_ns");
-    StatusOr<std::vector<Tuple>> answers =
-        ParallelEvaluate(*flat, *snap.db, eval_options, &result.eval);
+            ? backend.ExecuteDatalog(*result.datalog, exec, &result.eval)
+            : backend.Execute(*result.rewriting, exec, &result.eval);
     if (!answers.ok()) {
       eval_span.AnnotateStatus(answers.status());
       return answers.status();
     }
     result.answers = std::move(answers).value();
   }
+  metrics_.Increment(backend_metrics_.exec);
   eval_span.Attr("rows", static_cast<std::int64_t>(result.answers.size()));
   metrics_.Increment("eval_tuples_examined", result.eval.tuples_examined);
   metrics_.Increment("eval_matches", result.eval.matches);

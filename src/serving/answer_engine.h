@@ -2,7 +2,6 @@
 #define ONTOREW_SERVING_ANSWER_ENGINE_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -12,6 +11,7 @@
 #include <vector>
 
 #include "backend/backend.h"
+#include "base/admission_gate.h"
 #include "base/deadline.h"
 #include "base/metrics.h"
 #include "base/status.h"
@@ -24,7 +24,6 @@
 #include "logic/vocabulary.h"
 #include "rewriting/datalog.h"
 #include "rewriting/rewriter.h"
-#include "serving/parallel_eval.h"
 #include "serving/rewrite_cache.h"
 
 // The serving layer: an AnswerEngine owns an ontology (TGD program) and a
@@ -32,24 +31,24 @@
 // FO-rewritability result makes the rewriting *data-independent*: it can
 // be computed once per (program, query-isomorphism-class) and reused for
 // every subsequent evaluation. The engine therefore keeps an LRU cache of
-// rewritings keyed by (program fingerprint, canonical query key), fans
-// the cached UCQ's disjuncts across worker threads for evaluation, and
-// records per-stage counters/timers in a MetricsRegistry.
+// rewritings keyed by (program fingerprint, canonical query key), hands
+// the cached rewriting to its Backend for evaluation — an InMemoryBackend
+// sharing the engine's Database unless the caller configures another —
+// and records per-stage counters/timers in a MetricsRegistry.
 //
 // Overload safety (see DESIGN.md "Serving layer"): Serve takes a
 // per-request ServeOptions with an absolute deadline and an optional
 // cancellation token, both threaded through the rewrite saturation, the
-// chase, and every tuple scan. Admission control bounds concurrent
+// chase, and every tuple scan. An AdmissionGate bounds concurrent
 // requests: beyond AnswerEngineOptions::max_inflight, a request waits up
 // to admission_timeout for a slot and is then shed with
 // ResourceExhausted — unless its own deadline expired while it queued,
 // which returns DeadlineExceeded instead (the caller ran out of budget;
 // the server did not shed it), consuming no slot either way. A timed-out
 // request returns DeadlineExceeded — never a silently-partial answer
-// set. When the rewrite deadline (or its
-// divergence cap) fires on a program the weak-acyclicity classifier
-// proves chase-terminating, the engine can fall back to chase-based
-// answering (chase_fallback).
+// set. When the rewrite deadline (or its divergence cap) fires on a
+// program the weak-acyclicity classifier proves chase-terminating, the
+// engine can fall back to chase-based answering (chase_fallback).
 //
 //   AnswerEngine engine(std::move(ontology), std::move(db));
 //   ServeOptions per_request;
@@ -64,9 +63,11 @@
 //             requests_shed, admission_queue_deadline,
 //             fallback_chase_served, rewrite_degraded, rewrite_factored,
 //             rewrite_dag, rewrite_dag_fallback,
+//             backend_<name>_exec, backend_<name>_load,
 //             requests_by_status_<CodeName> (one per final Serve status)
 //   gauges    inflight, rewrite_threads
-//   timers    rewrite_ns, factor_ns, eval_ns
+//   timers    rewrite_ns, factor_ns, backend_<name>_exec_ns,
+//             backend_<name>_load_ns
 
 namespace ontorew {
 
@@ -80,7 +81,7 @@ struct AnswerEngineOptions {
   // (see RewriteCache). Null: the engine creates a private cache of
   // cache_capacity entries.
   std::shared_ptr<RewriteCache> shared_cache;
-  // Worker threads for UCQ evaluation (see ParallelEvalOptions).
+  // Worker threads for UCQ evaluation (BackendExecOptions::num_threads).
   int num_threads = 0;
   RewriterOptions rewriter;
   // Default rewrite target (per-request override: ServeOptions::target).
@@ -100,13 +101,13 @@ struct AnswerEngineOptions {
   EvalOptions eval{.drop_tuples_with_nulls = true, .cancel = {}};
 
   // --- Execution backend ---------------------------------------------------
-  // Where the rewritten UCQ runs. Null (the default) keeps the built-in
-  // path: ParallelEvaluate directly over the engine's own Database, no
-  // copy. A non-null backend (e.g. a SqliteBackend sharing the caller's
-  // Vocabulary) is Load()ed with the engine's program and data at
-  // construction and on every ReplaceDatabase/AddTgd, and every Serve
-  // evaluates through it — the paper's "delegate to a plain SQL engine"
-  // architecture. Per-backend metrics: counters backend_<name>_exec /
+  // Where the rewriting runs. Null (the default) installs an
+  // InMemoryBackend that shares the engine's Database (no copy). The
+  // backend (e.g. a SqliteBackend sharing the caller's Vocabulary) is
+  // Load()ed with the engine's program and data at construction and on
+  // every ReplaceDatabase/AddTgd, and every Serve evaluates through it —
+  // the paper's "delegate to a plain SQL engine" architecture.
+  // Per-backend metrics: counters backend_<name>_exec /
   // backend_<name>_load, timers backend_<name>_exec_ns /
   // backend_<name>_load_ns. A failed Load surfaces from the next Serve
   // as that error (the engine stays usable after a successful reload).
@@ -143,7 +144,7 @@ struct ServeOptions {
   // Serve records a "serve" root span with children for every executed
   // stage — admit, canonicalize, rewrite-cache (cache=hit|miss), rewrite
   // (with per-iteration saturate/minimize spans), chase (fallback=chase),
-  // eval (backend=..., per-disjunct or SQL plan spans) — well-formed (no
+  // eval (backend=<name>, per-disjunct or SQL plan spans) — well-formed (no
   // open spans) on every exit path, including errors. Null (the default)
   // costs one pointer test per hook.
   Trace* trace = nullptr;
@@ -168,11 +169,11 @@ struct AnswerResult {
   // The flat rewriting that was evaluated (shared with the cache; remains
   // valid after eviction). Null under RewriteTarget::kCte, whose cache
   // entries never hold the flat union — the request ran `datalog` instead
-  // (the builtin evaluator unfolds it on demand, without caching the
-  // unfolding).
+  // (Backend::ExecuteDatalog: SQLite runs it natively, the in-memory
+  // backend unfolds it without caching the unfolding).
   std::shared_ptr<const UnionOfCqs> rewriting;
   // Under RewriteTarget::kCte: the factored Datalog program the request
-  // ran (or would run on a SQL backend). Null under kUcq.
+  // ran. Null under kUcq.
   std::shared_ptr<const DatalogProgram> datalog;
   EvalStats eval;
 };
@@ -232,21 +233,12 @@ class AnswerEngine {
   std::string CacheKey(const UnionOfCqs& query,
                        RewriteTarget target = RewriteTarget::kUcq) const;
 
-  // The (cached) rewriting of `query`. Errors propagate from RewriteUcq
-  // (FailedPrecondition for multi-head programs, ResourceExhausted when
-  // the saturation cap is hit, DeadlineExceeded/Cancelled when `cancel`
-  // trips); errors are not cached. `trace` (optional) receives
-  // canonicalize / rewrite-cache / rewrite spans.
-  StatusOr<std::shared_ptr<const UnionOfCqs>> Rewrite(
-      const UnionOfCqs& query, const CancelScope& cancel = {},
-      const TraceContext& trace = {});
-
   // End-to-end: admit, rewrite (or fetch from cache, or fall back to the
-  // chase), evaluate in parallel, return the sorted certain answers with
-  // provenance. Errors: ResourceExhausted when shed by admission control,
-  // DeadlineExceeded/Cancelled when the request's scope trips at any
-  // stage, plus everything Rewrite can return. An error never carries
-  // partial answers.
+  // chase), evaluate on the backend, return the sorted certain answers
+  // with provenance. Errors: ResourceExhausted when shed by admission
+  // control, DeadlineExceeded/Cancelled when the request's scope trips at
+  // any stage, plus the rewriter's (never cached) and the backend's. An
+  // error never carries partial answers.
   StatusOr<AnswerResult> Serve(const UnionOfCqs& query,
                                const ServeOptions& serve = {});
 
@@ -256,7 +248,7 @@ class AnswerEngine {
   // predicates/constants in the emitted SQL (the engine stores ids only).
   // The returned trace always covers the executed stages; honours
   // serve.deadline/serve.cancel but ignores serve.trace (see
-  // ExplainResult::trace). Errors: everything Rewrite can return, plus
+  // ExplainResult::trace). Errors: the rewriter's, as for Serve, plus
   // InvalidArgument from SQL emission.
   StatusOr<ExplainResult> Explain(const UnionOfCqs& query,
                                   const Vocabulary& vocab,
@@ -276,11 +268,9 @@ class AnswerEngine {
   RewriteCacheStats cache_stats() const;
 
   // Current admitted-but-unfinished Serve calls (the `inflight` gauge).
-  std::size_t inflight() const;
+  std::size_t inflight() const { return gate_.inflight(); }
 
  private:
-  class AdmissionSlot;
-
   // An immutable view of the engine's ontology + data, pinned by each
   // request so AddTgd/ReplaceDatabase can swap the live state mid-flight
   // without racing in-progress rewrites, chases, or scans. The
@@ -292,14 +282,9 @@ class AnswerEngine {
     std::shared_ptr<const TgdProgram> program;
     std::shared_ptr<const Database> db;
     std::uint64_t fingerprint = 0;
+    Status backend_status;  // Outcome of the last backend Load.
   };
   Snapshot CurrentSnapshot() const;
-
-  // Admission control: blocks until a slot frees, the timeout elapses, or
-  // the request deadline passes. OK means a slot is held (released by the
-  // AdmissionSlot in Serve).
-  Status Admit(const CancelScope& scope);
-  void Release();
 
   // (Re)loads options_.backend with the current program and data,
   // recording load metrics; remembers the status for Serve. Callers must
@@ -323,16 +308,19 @@ class AnswerEngine {
                                        RewriteTarget target,
                                        bool shed_optional_work);
 
-  // program_/db_/fingerprint_ form the current snapshot: read/swapped
-  // under mutex_; the pointees are immutable. The accessors above
-  // dereference without the lock — safe only absent concurrent mutation.
+  // The current snapshot's parts: read/swapped under mutex_; the pointees
+  // are immutable. The accessors above dereference without the lock —
+  // safe only absent concurrent mutation.
   std::shared_ptr<const TgdProgram> program_;
   std::shared_ptr<const Database> db_;
-  AnswerEngineOptions options_;
+  AnswerEngineOptions options_;  // options_.backend is never null.
   std::uint64_t fingerprint_;
-  // Outcome of the last backend Load (OK when no backend is configured).
-  // Guarded by mutex_.
-  Status backend_load_status_;
+  Status backend_status_;
+
+  // The backend's metric names, built once at construction.
+  struct {
+    std::string exec, exec_ns, load, load_ns;
+  } backend_metrics_;
 
   // Serializes mutators (AddTgd, ReplaceDatabase): two racing AddTgds
   // must not each extend the *original* program and lose one TGD.
@@ -343,14 +331,12 @@ class AnswerEngine {
   // thread-safe; mutex_ does not guard it.
   std::shared_ptr<RewriteCache> cache_;
 
-  // Guards wa_cache_, backend_load_status_, and the snapshot swap.
+  // Guards wa_cache_ and the snapshot swap.
   mutable std::mutex mutex_;
   // Weak-acyclicity verdict for the fingerprint it was computed under.
   mutable std::optional<std::pair<std::uint64_t, bool>> wa_cache_;
 
-  mutable std::mutex admission_mutex_;  // Guards inflight_ only.
-  std::condition_variable admission_cv_;
-  std::size_t inflight_ = 0;
+  AdmissionGate gate_;
 
   MetricsRegistry metrics_;
 };

@@ -42,9 +42,9 @@ std::vector<Tuple> ExpectBackendsAgree(const TgdProgram& program,
   std::vector<Tuple> reference = Evaluate(ucq, db, reference_options);
 
   InMemoryBackend memory;
-  EXPECT_TRUE(memory.Load(program, db).ok());
+  EXPECT_TRUE(memory.Load(program, SharedDb(db)).ok());
   SqliteBackend sqlite(vocab);
-  Status load = sqlite.Load(program, db);
+  Status load = sqlite.Load(program, SharedDb(db));
   EXPECT_TRUE(load.ok()) << load;
 
   BackendExecOptions exec;
@@ -249,7 +249,7 @@ TEST(BackendTest, NullsJoinByIdentityAndAreDroppedFromAnswers) {
   // decode to the same null ids the in-memory path reports.
   UnionOfCqs all(MustQuery("q(X) :- r(X, Y).", &vocab));
   SqliteBackend sqlite(&vocab);
-  ASSERT_TRUE(sqlite.Load(program, db).ok());
+  ASSERT_TRUE(sqlite.Load(program, SharedDb(db)).ok());
   BackendExecOptions keep_nulls;
   keep_nulls.drop_tuples_with_nulls = false;
   StatusOr<std::vector<Tuple>> answers = sqlite.Execute(all, keep_nulls);
@@ -295,7 +295,7 @@ TEST(BackendTest, UnknownPredicateIsEmptyNotError) {
   Database db;
 
   SqliteBackend sqlite(&vocab);
-  ASSERT_TRUE(sqlite.Load(program, db).ok());
+  ASSERT_TRUE(sqlite.Load(program, SharedDb(db)).ok());
   // `fresh` is not in the program or the data: interned after Load.
   UnionOfCqs q(MustQuery("q(X) :- fresh(X, Y).", &vocab));
   StatusOr<std::vector<Tuple>> answers = sqlite.Execute(q, {});
@@ -320,7 +320,7 @@ TEST(BackendTest, EmptyUcqIsRejectedNotEmptyAnswer) {
   // come back as an empty answer set.
   Vocabulary vocab;
   SqliteBackend sqlite(&vocab);
-  ASSERT_TRUE(sqlite.Load(TgdProgram(), Database()).ok());
+  ASSERT_TRUE(sqlite.Load(TgdProgram(), SharedDb(Database())).ok());
   EXPECT_EQ(sqlite.Execute(UnionOfCqs(), {}).status().code(),
             StatusCode::kInvalidArgument);
 }
@@ -354,7 +354,7 @@ TEST(BackendTest, OversizedUnionChunksAcrossCompoundLimit) {
   ASSERT_EQ(reference.size(), 6u);  // "shared" deduped across chunks.
 
   SqliteBackend sqlite(&vocab);
-  ASSERT_TRUE(sqlite.Load(TgdProgram(), db).ok());
+  ASSERT_TRUE(sqlite.Load(TgdProgram(), SharedDb(db)).ok());
   ASSERT_TRUE(sqlite.SetCompoundSelectLimitForTest(2).ok());
   StatusOr<std::vector<Tuple>> answers = sqlite.Execute(ucq, {});
   ASSERT_TRUE(answers.ok()) << answers.status();
@@ -380,7 +380,7 @@ TEST(BackendTest, WideDatalogProgramFallsBackWithoutDeadlock) {
   std::vector<Tuple> reference = Evaluate(ucq, db, reference_options);
 
   SqliteBackend sqlite(&vocab);
-  ASSERT_TRUE(sqlite.Load(TgdProgram(), db).ok());
+  ASSERT_TRUE(sqlite.Load(TgdProgram(), SharedDb(db)).ok());
   ASSERT_TRUE(sqlite.SetCompoundSelectLimitForTest(2).ok());
   StatusOr<std::vector<Tuple>> answers = sqlite.ExecuteDatalog(*factored, {});
   ASSERT_TRUE(answers.ok()) << answers.status();
@@ -402,7 +402,7 @@ TEST(BackendTest, DeadlineMapsToProgressHandler) {
                                                        std::to_string(i)))});
   }
   SqliteBackend sqlite(&vocab);
-  ASSERT_TRUE(sqlite.Load(program, db).ok());
+  ASSERT_TRUE(sqlite.Load(program, SharedDb(db)).ok());
 
   UnionOfCqs q(MustQuery("q() :- r(A, B), r(C, D), r(E, F), r(G, H).",
                          &vocab));
@@ -424,7 +424,7 @@ TEST(BackendTest, CancelledTokenInterruptsExecution) {
   Database db;
   db.Insert(r, {Value::Constant(vocab.InternConstant("a"))});
   SqliteBackend sqlite(&vocab);
-  ASSERT_TRUE(sqlite.Load(program, db).ok());
+  ASSERT_TRUE(sqlite.Load(program, SharedDb(db)).ok());
 
   auto token = std::make_shared<CancelToken>();
   token->Cancel();
@@ -441,7 +441,7 @@ TEST(BackendTest, InjectedBackendFaultSurfaces) {
   Database db;
   db.Insert(r, {Value::Constant(vocab.InternConstant("a"))});
   SqliteBackend sqlite(&vocab);
-  ASSERT_TRUE(sqlite.Load(program, db).ok());
+  ASSERT_TRUE(sqlite.Load(program, SharedDb(db)).ok());
 
   ScopedFault fault("backend.exec", {});
   UnionOfCqs q(MustQuery("q(X) :- r(X).", &vocab));
@@ -462,12 +462,12 @@ TEST(BackendTest, ReloadReplacesAllData) {
   second.Insert(r, {c("e"), c("f")});
 
   SqliteBackend sqlite(&vocab);
-  ASSERT_TRUE(sqlite.Load(program, first).ok());
+  ASSERT_TRUE(sqlite.Load(program, SharedDb(first)).ok());
   StatusOr<std::int64_t> stored = sqlite.StoredTuples();
   ASSERT_TRUE(stored.ok());
   EXPECT_EQ(*stored, 2);
 
-  ASSERT_TRUE(sqlite.Load(program, second).ok());
+  ASSERT_TRUE(sqlite.Load(program, SharedDb(second)).ok());
   stored = sqlite.StoredTuples();
   ASSERT_TRUE(stored.ok());
   EXPECT_EQ(*stored, 1);
@@ -519,7 +519,7 @@ TEST(BackendTest, ReadPathRunsNoDdl) {
   SqliteBackendOptions options;
   options.path = path;
   SqliteBackend sqlite(&vocab, options);
-  ASSERT_TRUE(sqlite.Load(program, db).ok());
+  ASSERT_TRUE(sqlite.Load(program, SharedDb(db)).ok());
 
   auto schema = [&path]() {
     sqlite3* conn = nullptr;
@@ -588,13 +588,13 @@ TEST(BackendTest, CachedStatementSeesReloadedData) {
 
   SqliteBackend sqlite(&vocab);
   UnionOfCqs q(MustQuery("q(X) :- r(X, Y).", &vocab));
-  ASSERT_TRUE(sqlite.Load(program, first).ok());
+  ASSERT_TRUE(sqlite.Load(program, SharedDb(first)).ok());
   StatusOr<std::vector<Tuple>> before = sqlite.Execute(q, {});
   ASSERT_TRUE(before.ok()) << before.status();
   EXPECT_EQ(*before, std::vector<Tuple>{{c("a")}});
   EXPECT_EQ(sqlite.cached_statements(), 1u);
 
-  ASSERT_TRUE(sqlite.Load(program, second).ok());
+  ASSERT_TRUE(sqlite.Load(program, SharedDb(second)).ok());
   EXPECT_EQ(sqlite.cached_statements(), 0u);
   StatusOr<std::vector<Tuple>> after = sqlite.Execute(q, {});
   ASSERT_TRUE(after.ok()) << after.status();
@@ -602,7 +602,7 @@ TEST(BackendTest, CachedStatementSeesReloadedData) {
 
   // A reload that drops r altogether: the same query now reads the empty
   // inline relation, not a stale statement over the dropped table.
-  ASSERT_TRUE(sqlite.Load(program, Database()).ok());
+  ASSERT_TRUE(sqlite.Load(program, SharedDb(Database())).ok());
   StatusOr<std::vector<Tuple>> empty = sqlite.Execute(q, {});
   ASSERT_TRUE(empty.ok()) << empty.status();
   EXPECT_TRUE(empty->empty());
@@ -637,7 +637,7 @@ TEST(BackendTest, StatementCutShortIsResetForTheNextRequest) {
   options.busy_initial_backoff = std::chrono::microseconds(50);
   options.busy_max_backoff = std::chrono::microseconds(100);
   SqliteBackend sqlite(&fx.vocab, options);
-  ASSERT_TRUE(sqlite.Load(fx.program, fx.db).ok());
+  ASSERT_TRUE(sqlite.Load(fx.program, SharedDb(fx.db)).ok());
   const std::size_t full = 120u * 120u;
   EvalStats reference_stats;
   StatusOr<std::vector<Tuple>> reference =
@@ -688,7 +688,7 @@ TEST(BackendTest, IdenticalExecutionsReportEqualTuplesExamined) {
   // must not carry its counter from one request into the next.
   SlowQueryFixture fx(20);
   SqliteBackend sqlite(&fx.vocab);
-  ASSERT_TRUE(sqlite.Load(fx.program, fx.db).ok());
+  ASSERT_TRUE(sqlite.Load(fx.program, SharedDb(fx.db)).ok());
   EvalStats first;
   EvalStats second;
   ASSERT_TRUE(sqlite.Execute(fx.query, {}, &first).ok());
@@ -706,7 +706,7 @@ TEST(BackendTest, StatementCacheStaysAtItsCapacity) {
   db.Insert(r, {Value::Constant(vocab.InternConstant("a")),
                 Value::Constant(vocab.InternConstant("c7"))});
   SqliteBackend sqlite(&vocab);
-  ASSERT_TRUE(sqlite.Load(program, db).ok());
+  ASSERT_TRUE(sqlite.Load(program, SharedDb(db)).ok());
   for (int i = 0; i < 5000; ++i) {
     UnionOfCqs q(
         MustQuery("q(X) :- r(X, c" + std::to_string(i) + ").", &vocab));
@@ -747,7 +747,7 @@ TEST(BackendTest, UniversityJoinPlansBuildNoAutomaticIndex) {
   ASSERT_GT(rewriting->ucq.size(), 1);
 
   SqliteBackend sqlite(&vocab);
-  ASSERT_TRUE(sqlite.Load(ontology, db).ok());
+  ASSERT_TRUE(sqlite.Load(ontology, SharedDb(db)).ok());
   Trace trace;
   BackendExecOptions exec;
   exec.trace = TraceContext(&trace);
@@ -796,7 +796,7 @@ TEST(BackendTest, BusyRetriesExhaustToRetryableUnavailable) {
   options.busy_initial_backoff = std::chrono::microseconds(50);
   options.busy_max_backoff = std::chrono::microseconds(200);
   SqliteBackend backend(&fx.vocab, options);
-  ASSERT_TRUE(backend.Load(fx.program, fx.db).ok());
+  ASSERT_TRUE(backend.Load(fx.program, SharedDb(fx.db)).ok());
 
   // Permanent contention: every attempt reports SQLITE_BUSY. After
   // busy_max_retries backoffs the backend gives up with the RETRYABLE
@@ -820,7 +820,7 @@ TEST(BackendTest, BusyBurstIsAbsorbedByBackoff) {
   options.busy_initial_backoff = std::chrono::microseconds(50);
   options.busy_max_backoff = std::chrono::microseconds(200);
   SqliteBackend backend(&fx.vocab, options);
-  ASSERT_TRUE(backend.Load(fx.program, fx.db).ok());
+  ASSERT_TRUE(backend.Load(fx.program, SharedDb(fx.db)).ok());
 
   // A finite busy burst (three hits, then the lock clears): the bounded
   // backoff rides it out and the caller sees only a successful result.
@@ -852,7 +852,7 @@ TEST(BackendTest, BusyBackoffRespectsRequestDeadline) {
   options.busy_initial_backoff = std::chrono::milliseconds(5);
   options.busy_max_backoff = std::chrono::milliseconds(5);
   SqliteBackend backend(&fx.vocab, options);
-  ASSERT_TRUE(backend.Load(fx.program, fx.db).ok());
+  ASSERT_TRUE(backend.Load(fx.program, SharedDb(fx.db)).ok());
 
   FaultRegistry::Global().Arm("backend.busy", {.probability = 1.0});
   BackendExecOptions exec;

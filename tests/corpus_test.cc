@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -81,12 +82,13 @@ TEST(CorpusTest, EveryReproReplaysGreenOnAllLegs) {
         RewriteCq(c.query, c.program, ReplayRewriterOptions());
     ASSERT_TRUE(flat.ok()) << "flat rewrite failed: " << flat.status();
 
+    const auto facts = std::make_shared<const Database>(c.facts);
     InMemoryBackend memory;
-    ASSERT_TRUE(memory.Load(c.program, c.facts).ok());
+    ASSERT_TRUE(memory.Load(c.program, facts).ok());
     ExpectLeg("flat/InMemory", memory.Execute(flat->ucq, {}), c, vocab);
 
     SqliteBackend sqlite(&vocab);
-    ASSERT_TRUE(sqlite.Load(c.program, c.facts).ok());
+    ASSERT_TRUE(sqlite.Load(c.program, facts).ok());
     ExpectLeg("flat/SQLite", sqlite.Execute(flat->ucq, {}), c, vocab);
 
     StatusOr<DatalogProgram> factored = FactorUcq(flat->ucq);

@@ -37,9 +37,9 @@ void ExpectAllPathsAgree(const UnionOfCqs& ucq, const TgdProgram& program,
   ASSERT_TRUE(factored.ok()) << label << ": " << factored.status().ToString();
 
   SqliteBackend sqlite(vocab);
-  ASSERT_TRUE(sqlite.Load(program, db).ok()) << label;
+  ASSERT_TRUE(sqlite.Load(program, SharedDb(db)).ok()) << label;
   InMemoryBackend memory;
-  ASSERT_TRUE(memory.Load(program, db).ok()) << label;
+  ASSERT_TRUE(memory.Load(program, SharedDb(db)).ok()) << label;
 
   StatusOr<std::vector<Tuple>> via_cte =
       sqlite.ExecuteDatalog(*factored, {});

@@ -115,9 +115,9 @@ DiffOutcome RunTriple(const TgdProgram& program, const Database& db,
   outcome.rewrite_ok = true;
 
   InMemoryBackend memory;
-  Status load = memory.Load(program, db);
+  Status load = memory.Load(program, SharedDb(db));
   SqliteBackend sqlite(vocab);
-  Status sqlite_load = sqlite.Load(program, db);
+  Status sqlite_load = sqlite.Load(program, SharedDb(db));
   StatusOr<std::vector<Tuple>> from_memory =
       load.ok() ? memory.Execute(rewriting->ucq, {})
                 : StatusOr<std::vector<Tuple>>(load);

@@ -347,7 +347,7 @@ TEST(AnswerEngineTest, MetricsSnapshotCountsHitsAndMisses) {
   EXPECT_GT(snapshot.Counter("eval_matches"), 0);
   // Only misses pay rewriting time; every serve pays evaluation time.
   EXPECT_GT(snapshot.TimerNs("rewrite_ns"), 0);
-  EXPECT_GT(snapshot.TimerNs("eval_ns"), 0);
+  EXPECT_GT(snapshot.TimerNs("backend_inmemory_exec_ns"), 0);
 
   engine.metrics().Reset();
   EXPECT_EQ(engine.metrics().Snapshot().Counter("queries_served"), 0);
@@ -661,9 +661,9 @@ TEST(AnswerEngineTest, SqliteBackendServesIdenticalAnswers) {
   EXPECT_EQ(snapshot.Counter("backend_sqlite_load"), 1);
   EXPECT_GT(snapshot.TimerNs("backend_sqlite_exec_ns"), 0);
   EXPECT_GT(snapshot.TimerNs("backend_sqlite_load_ns"), 0);
-  // The built-in path's eval timer stays untouched on the delegated
-  // engine.
-  EXPECT_EQ(snapshot.TimerNs("eval_ns"), 0);
+  // The default in-memory backend's timer stays untouched on the
+  // delegated engine.
+  EXPECT_EQ(snapshot.TimerNs("backend_inmemory_exec_ns"), 0);
 }
 
 TEST(AnswerEngineTest, ReplaceDatabaseReloadsBackend) {
@@ -730,8 +730,9 @@ TEST(AnswerEngineTest, BackendHonoursServeDeadline) {
 }
 
 TEST(AnswerEngineTest, InMemoryBackendMatchesBuiltInPath) {
-  // The pluggable InMemoryBackend is a drop-in for the engine's default
-  // path — same answers, backend-prefixed metrics instead of eval_ns.
+  // An engine without a configured backend evaluates through an
+  // InMemoryBackend that shares the engine's Database instead of copying
+  // it, and answers as an explicitly configured one does.
   Vocabulary vocab;
   TgdProgram ontology = UniversityOntology(&vocab);
   Rng rng(5);
@@ -739,19 +740,86 @@ TEST(AnswerEngineTest, InMemoryBackendMatchesBuiltInPath) {
   instance.num_students = 30;
   Database db = UniversityInstance(instance, &rng, &vocab);
 
+  AnswerEngine engine(ontology, db);
+  auto backend =
+      std::dynamic_pointer_cast<InMemoryBackend>(engine.options().backend);
+  ASSERT_NE(backend, nullptr);
+  EXPECT_EQ(&backend->db(), &engine.db());
+  // A data refresh hands the backend the new snapshot, again uncopied.
+  engine.ReplaceDatabase(db);
+  EXPECT_EQ(&backend->db(), &engine.db());
+
   AnswerEngineOptions options;
   options.backend = std::make_shared<InMemoryBackend>();
   AnswerEngine plugged(ontology, db, options);
-  AnswerEngine builtin(ontology, db);
-
   ConjunctiveQuery query = MustQuery("q(X) :- person(X).", &vocab);
   StatusOr<std::vector<Tuple>> a = plugged.CertainAnswers(query);
-  StatusOr<std::vector<Tuple>> b = builtin.CertainAnswers(query);
+  StatusOr<std::vector<Tuple>> b = engine.CertainAnswers(query);
   ASSERT_TRUE(a.ok()) << a.status();
   ASSERT_TRUE(b.ok()) << b.status();
   EXPECT_EQ(*a, *b);
-  EXPECT_EQ(plugged.metrics().Snapshot().Counter("backend_inmemory_exec"),
-            1);
+  EXPECT_EQ(engine.metrics().Snapshot().Counter("backend_inmemory_exec"), 1);
+  EXPECT_EQ(engine.metrics().Snapshot().Counter("backend_inmemory_load"), 2);
+}
+
+TEST(AnswerEngineTest, ReplaceDatabaseRacingServesOnInMemoryBackend) {
+  // ReplaceDatabase reloads the backend while Serves execute on it: every
+  // answer must come from one whole database, never from one being
+  // replaced underneath the evaluation.
+  Vocabulary vocab;
+  TgdProgram program = MustProgram("r(X, Y) -> s(X).", &vocab);
+  PredicateId r = vocab.FindPredicate("r");
+  auto c = [&](const std::string& name) {
+    return Value::Constant(vocab.InternConstant(name));
+  };
+  Database first;
+  Database second;
+  for (int i = 0; i < 40; ++i) {
+    first.Insert(r, {c(StrCat("a", i)), c("b")});
+    second.Insert(r, {c(StrCat("x", i)), c(StrCat("y", i))});
+    second.Insert(r, {c(StrCat("y", i)), c("z")});
+  }
+  const ConjunctiveQuery query = MustQuery("q(X) :- s(X).", &vocab);
+  StatusOr<std::vector<Tuple>> first_answers =
+      AnswerEngine(program, first).CertainAnswers(query);
+  StatusOr<std::vector<Tuple>> second_answers =
+      AnswerEngine(program, second).CertainAnswers(query);
+  ASSERT_TRUE(first_answers.ok()) << first_answers.status();
+  ASSERT_TRUE(second_answers.ok()) << second_answers.status();
+  ASSERT_NE(*first_answers, *second_answers);
+
+  AnswerEngineOptions options;
+  options.backend = std::make_shared<InMemoryBackend>();
+  options.num_threads = 2;
+  AnswerEngine engine(program, first, options);
+
+  std::atomic<bool> serving{true};
+  std::thread writer([&] {
+    for (int i = 0; serving.load(); ++i) {
+      engine.ReplaceDatabase(i % 2 == 0 ? second : first);
+    }
+  });
+  std::atomic<int> failed{0};
+  std::atomic<int> mismatched{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      for (int i = 0; i < 100; ++i) {
+        StatusOr<std::vector<Tuple>> answers = engine.CertainAnswers(query);
+        if (!answers.ok()) {
+          failed.fetch_add(1);
+        } else if (*answers != *first_answers &&
+                   *answers != *second_answers) {
+          mismatched.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  serving.store(false);
+  writer.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(mismatched.load(), 0);
 }
 
 // --- The CTE rewrite target --------------------------------------------------
@@ -808,9 +876,9 @@ TEST(AnswerEngineTest, CteTargetServesIdenticalAnswersOnSqlite) {
 }
 
 TEST(AnswerEngineTest, CteTargetWorksWithoutSqlBackend) {
-  // Without a SQL backend the factored program cannot run natively; the
-  // engine evaluates the cached union instead — same answers, and the
-  // provenance still carries the factored program.
+  // The default in-memory backend cannot run the factored program
+  // natively; it evaluates the unfolded union instead — same answers, and
+  // the provenance still carries the factored program.
   CteFixture fx;
   AnswerEngine builtin(fx.ontology, fx.db);
   ServeOptions as_cte;
@@ -966,9 +1034,10 @@ TEST(AnswerEngineTraceTest, ColdServeRecordsCompleteSpanTree) {
   const SpanRecord* minimize = FindSpan(spans, "minimize");
   ASSERT_NE(minimize, nullptr);
   EXPECT_TRUE(SpanHasAttrKey(*minimize, "disjuncts_in"));
-  // Evaluation ran on the built-in evaluator: per-disjunct scan spans.
+  // Evaluation ran on the default in-memory backend: per-disjunct scan
+  // spans.
   const SpanRecord* eval = FindSpan(spans, "eval");
-  EXPECT_TRUE(SpanHasAttr(*eval, "backend", "builtin"));
+  EXPECT_TRUE(SpanHasAttr(*eval, "backend", "inmemory"));
   EXPECT_TRUE(SpanHasAttrKey(*eval, "rows"));
   const SpanRecord* disjunct = FindSpan(spans, "disjunct");
   ASSERT_NE(disjunct, nullptr);
@@ -1337,7 +1406,7 @@ TEST(AnswerEngineExplainTest, ReturnsRewritingAndSqlWithoutExecuting) {
   MetricsSnapshot snapshot = engine.metrics().Snapshot();
   EXPECT_EQ(snapshot.Counter("queries_served"), 0);
   EXPECT_EQ(snapshot.Counter("backend_sqlite_exec"), 0);
-  EXPECT_EQ(snapshot.TimerNs("eval_ns"), 0);
+  EXPECT_EQ(snapshot.TimerNs("backend_inmemory_exec_ns"), 0);
 
   // Explain owns its trace: explain-rooted, rewrite recorded, no eval.
   ASSERT_NE(explained->trace, nullptr);

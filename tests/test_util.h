@@ -1,8 +1,11 @@
 #ifndef ONTOREW_TESTS_TEST_UTIL_H_
 #define ONTOREW_TESTS_TEST_UTIL_H_
 
+#include <memory>
 #include <string_view>
+#include <utility>
 
+#include "db/database.h"
 #include "gtest/gtest.h"
 #include "logic/atom.h"
 #include "logic/parser.h"
@@ -32,6 +35,11 @@ inline ConjunctiveQuery MustQuery(std::string_view text, Vocabulary* vocab) {
   StatusOr<ConjunctiveQuery> query = ParseQuery(text, vocab);
   EXPECT_TRUE(query.ok()) << query.status();
   return query.ok() ? *std::move(query) : ConjunctiveQuery();
+}
+
+// `db` shared the way AnswerEngine shares its snapshot with a Backend.
+inline std::shared_ptr<const Database> SharedDb(Database db) {
+  return std::make_shared<const Database>(std::move(db));
 }
 
 inline Atom MustAtom(std::string_view text, Vocabulary* vocab) {
