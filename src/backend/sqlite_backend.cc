@@ -16,6 +16,10 @@
 namespace ontorew {
 namespace {
 
+// VM instructions between two progress-handler polls of the cancel scope
+// (SQLite's N for sqlite3_progress_handler).
+constexpr int kProgressPollInstructions = 1000;
+
 // Stored form of a value: a constant as its id, labeled null N_i as
 // -(i+1), so the two never collide in a column.
 std::int64_t EncodeCell(Value value) {
@@ -104,8 +108,7 @@ class ProgressGuard {
 }  // namespace
 
 SqliteBackend::SqliteBackend(Vocabulary* vocab, SqliteBackendOptions options)
-    : vocab_(vocab), options_(std::move(options)),
-      busy_rng_state_(options_.busy_jitter_seed) {
+    : vocab_(vocab), options_(std::move(options)) {
   rendering_.constants = SqlConstantForm::kIntegerId;
   rendering_.table = [this](PredicateId p) {
     auto it = tables_.find(p);
@@ -451,7 +454,7 @@ StatusOr<std::vector<Tuple>> SqliteBackend::RunQuerySql(
                         CachedStatement(sql, options.cancel));
   StmtReset reset(stmt);
   ProgressGuard progress(conn_, options.cancel,
-                         options_.progress_poll_instructions);
+                         kProgressPollInstructions);
 
   TraceSpan scan_span(options.trace, "scan");
   if (scan_span.enabled()) {

@@ -64,24 +64,20 @@ struct SqliteBackendOptions {
   // ":memory:" (the default) keeps the database private to the process;
   // any other value is a filesystem path.
   std::string path = ":memory:";
-  // VM instructions between two progress-handler polls of the cancel
-  // scope (SQLite's N for sqlite3_progress_handler).
-  int progress_poll_instructions = 1000;
 
   // --- Transient-contention retry ------------------------------------------
   // SQLITE_BUSY / SQLITE_LOCKED mean another connection (file databases,
   // WAL checkpoints) holds a conflicting lock right now — a transient
   // condition, not a failure. Every prepare/step retries it with bounded
-  // exponential backoff plus deterministic jitter; once busy_max_retries
-  // attempts are exhausted the call surfaces kUnavailable (retryable on
-  // the wire), never a generic Internal error. Backoff sleeps never
+  // exponential backoff plus deterministic (fixed-seed) jitter; once
+  // busy_max_retries attempts are exhausted the call surfaces kUnavailable
+  // (retryable on the wire), never a generic Internal error. Backoff sleeps never
   // overshoot the request deadline. The "backend.busy" fault point
   // simulates a busy return on any armed trip, so tests and the soak
   // harness can inject contention bursts against in-memory databases.
   int busy_max_retries = 8;
   std::chrono::nanoseconds busy_initial_backoff = std::chrono::microseconds(200);
   std::chrono::nanoseconds busy_max_backoff = std::chrono::milliseconds(20);
-  std::uint64_t busy_jitter_seed = 1;
 };
 
 class SqliteBackend : public Backend {

@@ -1,5 +1,8 @@
 #include "base/metrics.h"
 
+#include <utility>
+#include <vector>
+
 #include "base/strings.h"
 
 namespace ontorew {
@@ -33,40 +36,38 @@ std::string MetricsSnapshot::ToString() const {
   return out;
 }
 
-void MetricsRegistry::Increment(std::string_view name, std::int64_t delta) {
+// Map nodes never move, so the handles returned below stay valid.
+Counter& MetricsRegistry::RegisterCounter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  counters_[std::string(name)] += delta;
+  return counters_.try_emplace(std::string(name)).first->second;
 }
 
-void MetricsRegistry::SetGauge(std::string_view name, std::int64_t value) {
+Timer& MetricsRegistry::RegisterTimer(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  gauges_[std::string(name)] = value;
+  return timers_.try_emplace(std::string(name)).first->second;
 }
 
-void MetricsRegistry::AdjustGauge(std::string_view name, std::int64_t delta) {
+void MetricsRegistry::RegisterGauge(std::string_view name,
+                                    std::function<std::int64_t()> read) {
   std::lock_guard<std::mutex> lock(mutex_);
-  gauges_[std::string(name)] += delta;
-}
-
-void MetricsRegistry::AddTimeNs(std::string_view name, std::int64_t nanos) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  timers_ns_[std::string(name)] += nanos;
+  gauges_[std::string(name)] = std::move(read);
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot snapshot;
-  snapshot.counters = counters_;
-  snapshot.gauges = gauges_;
-  snapshot.timers_ns = timers_ns_;
+  std::vector<std::pair<std::string, std::function<std::int64_t()>>> gauges;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& [name, counter] : counters_) {
+      if (counter.recorded()) snapshot.counters[name] = counter.value();
+    }
+    for (const auto& [name, timer] : timers_) {
+      if (timer.recorded()) snapshot.timers_ns[name] = timer.value();
+    }
+    gauges.assign(gauges_.begin(), gauges_.end());
+  }
+  for (const auto& [name, read] : gauges) snapshot.gauges[name] = read();
   return snapshot;
-}
-
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  counters_.clear();
-  gauges_.clear();
-  timers_ns_.clear();
 }
 
 }  // namespace ontorew

@@ -1,23 +1,27 @@
 #ifndef ONTOREW_BASE_METRICS_H_
 #define ONTOREW_BASE_METRICS_H_
 
-#include <chrono>
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
 
-// A lightweight metrics registry: named monotonic counters and wall-time
-// timers, thread-safe, snapshot-able. The serving layer records per-stage
-// costs (rewrite, cache hit/miss, eval, minimize) here so benches and the
-// CLI tools can report them without threading ad-hoc out-parameters
-// through every call.
+// A lightweight metrics registry: named counters, wall-time timers and
+// gauges, thread-safe, snapshot-able. Metrics are registered once, at
+// construction, and recorded through handles: one relaxed atomic add, no
+// lock or allocation. Gauges read live state when Snapshot() runs. Stage
+// timers ride on trace spans (base/trace.h).
 //
 //   MetricsRegistry metrics;
-//   metrics.Increment("rewrite_cache_miss");
+//   Counter& misses = metrics.RegisterCounter("rewrite_cache_miss");
+//   Timer& rewrite_ns = metrics.RegisterTimer("rewrite_ns");
+//   metrics.RegisterGauge("inflight", [&gate] { return gate.inflight(); });
+//   misses.Increment();
 //   {
-//     ScopedTimer timer(&metrics, "rewrite_ns");
+//     TraceSpan span(trace_context, "rewrite", &rewrite_ns);
 //     ... work ...
 //   }
 //   std::puts(metrics.Snapshot().ToString().c_str());
@@ -28,7 +32,7 @@ namespace ontorew {
 // deterministic.
 struct MetricsSnapshot {
   std::map<std::string, std::int64_t> counters;
-  // Last-set value per gauge name (non-monotonic, e.g. `inflight`).
+  // Current value per gauge name (non-monotonic, e.g. `inflight`).
   std::map<std::string, std::int64_t> gauges;
   // Accumulated wall time per timer name, nanoseconds.
   std::map<std::string, std::int64_t> timers_ns;
@@ -41,52 +45,51 @@ struct MetricsSnapshot {
   std::string ToString() const;
 };
 
-class MetricsRegistry {
+// A counter handle: a monotonic sum. It appears in snapshots once
+// recorded to, even by a zero delta; a handle registered but never used
+// stays out of them.
+class Counter {
  public:
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  void Increment(std::string_view name, std::int64_t delta = 1);
-  // Gauges are set, not accumulated (current in-flight requests, queue
-  // depth, ...); AdjustGauge applies a signed delta to the current value.
-  void SetGauge(std::string_view name, std::int64_t value);
-  void AdjustGauge(std::string_view name, std::int64_t delta);
-  void AddTimeNs(std::string_view name, std::int64_t nanos);
-
-  MetricsSnapshot Snapshot() const;
-  void Reset();
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, std::int64_t> counters_;
-  std::map<std::string, std::int64_t> gauges_;
-  std::map<std::string, std::int64_t> timers_ns_;
-};
-
-// RAII wall-clock timer: accumulates the elapsed time into
-// `registry->AddTimeNs(name)` on destruction. A null registry disables it.
-// `name` is not copied: it must outlive the timer.
-class ScopedTimer {
- public:
-  ScopedTimer(MetricsRegistry* registry, std::string_view name)
-      : registry_(registry), name_(name),
-        start_(std::chrono::steady_clock::now()) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  ~ScopedTimer() {
-    if (registry_ == nullptr) return;
-    auto elapsed = std::chrono::steady_clock::now() - start_;
-    registry_->AddTimeNs(
-        name_,
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
+  void Increment(std::int64_t delta = 1) {
+    if (delta != 0) {
+      value_.fetch_add(delta, std::memory_order_relaxed);
+    } else {
+      touched_.store(true, std::memory_order_relaxed);
+    }
+  }
+  std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
+  bool recorded() const {
+    return touched_.load(std::memory_order_relaxed) || value() != 0;
   }
 
  private:
-  MetricsRegistry* registry_;
-  std::string_view name_;
-  std::chrono::steady_clock::time_point start_;
+  std::atomic<std::int64_t> value_{0};
+  std::atomic<bool> touched_{false};
+};
+
+// A timer handle: a Counter of nanoseconds, reported as a timer.
+class Timer : public Counter {
+ public:
+  void AddNs(std::int64_t nanos) { Increment(nanos); }
+};
+
+class MetricsRegistry {
+ public:
+  // Registering a name again returns the same handle. Handles stay valid
+  // for the registry's lifetime.
+  Counter& RegisterCounter(std::string_view name);
+  Timer& RegisterTimer(std::string_view name);
+  // `read` runs on every Snapshot(), outside the registry's lock.
+  // Registering a name again replaces it.
+  void RegisterGauge(std::string_view name, std::function<std::int64_t()> read);
+
+  MetricsSnapshot Snapshot() const;
+
+ private:
+  mutable std::mutex mutex_;  // Guards the maps, not the handles' sums.
+  std::map<std::string, Counter> counters_;
+  std::map<std::string, Timer> timers_;
+  std::map<std::string, std::function<std::int64_t()>> gauges_;
 };
 
 }  // namespace ontorew

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/metrics.h"
 #include "base/status.h"
 
 // Request-scoped structured tracing: a Trace records a tree of timed
@@ -134,18 +135,18 @@ class TraceContext {
 // RAII span: begins on construction, ends on destruction (every exit
 // path, including error returns, closes the span — this is what makes
 // traces of failed requests well-formed). Inert when the context is.
+// Given a `timer` (base/metrics.h) it also adds its wall time to it when
+// it ends, traced or not: one instrumentation point per stage.
 class TraceSpan {
  public:
-  TraceSpan() = default;  // Inert.
-  TraceSpan(const TraceContext& context, std::string_view name)
+  TraceSpan(const TraceContext& context, std::string_view name,
+            Timer* timer = nullptr)
       : trace_(context.trace()),
         id_(trace_ != nullptr ? trace_->BeginSpan(name, context.parent())
-                              : Trace::kDropped) {}
-  TraceSpan(Trace* trace, std::string_view name,
-            Trace::SpanId parent = Trace::kNoParent)
-      : trace_(trace),
-        id_(trace != nullptr ? trace->BeginSpan(name, parent)
-                             : Trace::kDropped) {}
+                              : Trace::kDropped),
+        timer_(timer),
+        start_(timer != nullptr ? std::chrono::steady_clock::now()
+                                : std::chrono::steady_clock::time_point()) {}
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
   ~TraceSpan() { End(); }
@@ -168,6 +169,12 @@ class TraceSpan {
 
   // Closes the span early (idempotent; the destructor is then a no-op).
   void End() {
+    if (timer_ != nullptr) {
+      timer_->AddNs(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - start_)
+                        .count());
+      timer_ = nullptr;
+    }
     if (trace_ != nullptr) {
       trace_->EndSpan(id_);
       trace_ = nullptr;
@@ -177,6 +184,8 @@ class TraceSpan {
  private:
   Trace* trace_ = nullptr;
   Trace::SpanId id_ = Trace::kDropped;
+  Timer* timer_ = nullptr;
+  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace ontorew

@@ -20,6 +20,11 @@ namespace {
 // smaller); it guards hand-built programs whose expansion multiplies out.
 constexpr std::size_t kMaxUnfoldedDisjuncts = 1u << 20;
 
+// Factoring proceeds in rounds (factor, then factor the factored program
+// again — nested sharing needs several passes); each round strictly
+// shrinks the top-level union, so this cap is a backstop.
+constexpr int kMaxFactorRounds = 32;
+
 std::string AuxDisplayName(int index) { return StrCat("orw", index); }
 
 // The largest variable id used anywhere in `program`, or -1.
@@ -281,7 +286,7 @@ StatusOr<DatalogProgram> FactorUcq(const UnionOfCqs& ucq,
   // ten unfoldings appearing in three join positions — is ONE aux.
   std::map<std::string, int> aux_by_signature;
 
-  for (int round = 0; round < options.max_rounds; ++round) {
+  for (int round = 0; round < kMaxFactorRounds; ++round) {
     OREW_RETURN_IF_ERROR(options.cancel.Check("datalog factoring"));
 
     // Collect factoring sites across all disjuncts and group by context.

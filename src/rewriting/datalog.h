@@ -90,12 +90,7 @@ struct DatalogProgram {
 };
 
 struct DatalogFactorOptions {
-  // Factoring proceeds in rounds (factor, then factor the factored
-  // program again — nested sharing needs several passes); each round
-  // strictly shrinks the top-level union, so the cap is a backstop, not
-  // a tuning knob.
-  int max_rounds = 32;
-  // Checked between rounds.
+  // Checked between factoring rounds.
   CancelScope cancel;
 };
 

@@ -32,6 +32,16 @@ constexpr std::size_t kMaxLineBytes = 1 << 20;
 constexpr int kAcceptPollMillis = 100;
 constexpr int kConnPollMillis = 50;
 
+// Accepted connections queued for a worker; beyond this the acceptor
+// sheds the connection with a retryable error.
+constexpr std::size_t kMaxQueuedConnections = 64;
+
+// The retry_after_ms hint attached to sheds that have no better number
+// (quota sheds use the bucket's exact refill time instead).
+constexpr std::int64_t kDefaultRetryAfterMs = 25;
+
+constexpr char kDrainingMessage[] = "server is draining — retry after backoff";
+
 bool WriteAll(int fd, std::string_view data) {
   while (!data.empty()) {
     ssize_t n = send(fd, data.data(), data.size(), MSG_NOSIGNAL);
@@ -90,7 +100,12 @@ OntologyServer::OntologyServer(OntologyServerOptions options)
     : options_(options),
       gate_(options.max_inflight_global, options.admission_timeout),
       shared_cache_(
-          std::make_shared<RewriteCache>(options.shared_cache_capacity)) {}
+          std::make_shared<RewriteCache>(options.shared_cache_capacity)) {
+  metrics_.RegisterGauge("server_inflight", [this] {
+    return static_cast<std::int64_t>(gate_.inflight());
+  });
+  metrics_.RegisterGauge("brownout_level", [this] { return brownout_level(); });
+}
 
 OntologyServer::~OntologyServer() {
   Status ignored = Shutdown(std::chrono::milliseconds(200));
@@ -164,7 +179,7 @@ Status OntologyServer::Start() {
     listen_fd_ = -1;
     return status;
   }
-  if (listen(listen_fd_, options_.max_queued_connections) != 0) {
+  if (listen(listen_fd_, static_cast<int>(kMaxQueuedConnections)) != 0) {
     Status status = InternalError(StrCat("listen(): ", std::strerror(errno)));
     close(listen_fd_);
     listen_fd_ = -1;
@@ -242,24 +257,17 @@ std::vector<std::string> OntologyServer::tenant_names() const {
   return names;
 }
 
-OntologyServer::Reply OntologyServer::ShedReply(std::string_view why) const {
+OntologyServer::Reply OntologyServer::ErrorReply(Status status) {
   Reply reply;
-  reply.status = UnavailableError(
-      StrCat(why, " — retry after backoff"));
-  reply.retry_after_ms = options_.default_retry_after_ms;
-  return reply;
-}
-
-OntologyServer::Reply OntologyServer::AdmissionRefused(
-    std::string_view layer, const Status& status) const {
-  Reply reply;
-  reply.status = Status(status.code(), StrCat(layer, " ", status.message()));
-  reply.retry_after_ms = options_.default_retry_after_ms;
+  if (IsRetryableStatusCode(status.code())) {
+    reply.retry_after_ms = kDefaultRetryAfterMs;
+  }
+  reply.status = std::move(status);
   return reply;
 }
 
 std::string OntologyServer::ServeLine(std::string_view line) {
-  metrics_.Increment("server_requests");
+  requests_.Increment();
   Reply reply;
   StatusOr<WireRequest> request = ParseWireRequest(line);
   if (!request.ok()) {
@@ -279,23 +287,20 @@ std::string OntologyServer::ServeLine(std::string_view line) {
         break;
     }
   }
-  metrics_.Increment(reply.status.ok() ? "server_responses_ok"
-                                       : "server_responses_err");
+  (reply.status.ok() ? responses_ok_ : responses_err_).Increment();
   return reply.Serialize();
 }
 
 OntologyServer::Reply OntologyServer::HandleQuery(
     const WireRequest& request) {
   if (draining_.load(std::memory_order_acquire)) {
-    metrics_.Increment("server_shed_draining");
-    return ShedReply("server is draining");
+    shed_draining_.Increment();
+    return ErrorReply(UnavailableError(kDrainingMessage));
   }
   auto it = tenants_.find(request.tenant);
   if (it == tenants_.end()) {
-    Reply reply;
-    reply.status =
-        NotFoundError(StrCat("unknown tenant '", request.tenant, "'"));
-    return reply;
+    return ErrorReply(
+        NotFoundError(StrCat("unknown tenant '", request.tenant, "'")));
   }
   Tenant& tenant = *it->second;
 
@@ -310,14 +315,12 @@ OntologyServer::Reply OntologyServer::HandleQuery(
   if (tenant.bucket != nullptr) {
     const auto wait = tenant.bucket->TryAcquire();
     if (wait > TokenBucket::Clock::duration::zero()) {
-      metrics_.Increment("server_shed_quota");
-      Reply reply;
-      reply.status = ResourceExhaustedError(StrCat(
-          "tenant '", tenant.name, "' rate quota exceeded"));
-      reply.retry_after_ms =
-          wait == TokenBucket::Clock::duration::max()
-              ? options_.default_retry_after_ms
-              : CeilMillis(wait);
+      shed_quota_.Increment();
+      Reply reply = ErrorReply(ResourceExhaustedError(
+          StrCat("tenant '", tenant.name, "' rate quota exceeded")));
+      if (wait != TokenBucket::Clock::duration::max()) {
+        reply.retry_after_ms = CeilMillis(wait);
+      }
       return reply;
     }
   }
@@ -326,22 +329,22 @@ OntologyServer::Reply OntologyServer::HandleQuery(
   // only refusal is a shed.
   Status admitted = tenant.gate.Acquire(Deadline::Infinite());
   if (!admitted.ok()) {
-    metrics_.Increment("server_shed_tenant_inflight");
-    return AdmissionRefused(StrCat("tenant '", tenant.name, "'"), admitted);
+    shed_tenant_inflight_.Increment();
+    return ErrorReply(Status(admitted.code(), StrCat("tenant '", tenant.name,
+                                                     "' ", admitted.message())));
   }
 
   // Layer 3: a global slot, queueing deadline-aware.
   admitted = gate_.Acquire(deadline);
   if (!admitted.ok()) {
     tenant.gate.Release();
-    metrics_.Increment(admitted.code() == StatusCode::kDeadlineExceeded
-                           ? "server_queue_deadline"
-                           : "server_shed_global");
-    return AdmissionRefused("server", admitted);
+    (admitted.code() == StatusCode::kDeadlineExceeded ? queue_deadline_
+                                                      : shed_global_)
+        .Increment();
+    return ErrorReply(
+        Status(admitted.code(), StrCat("server ", admitted.message())));
   }
-  metrics_.AdjustGauge("server_inflight", 1);
   Reply reply = ServeAdmitted(tenant, request, deadline);
-  metrics_.AdjustGauge("server_inflight", -1);
   gate_.Release();
   tenant.gate.Release();
   return reply;
@@ -352,10 +355,9 @@ OntologyServer::Reply OntologyServer::ServeAdmitted(
   // Brownout ladder: under sustained load shed cheap optional work
   // before ever shedding a request.
   const int level = brownout_level();
-  metrics_.SetGauge("brownout_level", level);
   bool trace_wanted = request.trace;
   if (trace_wanted && level >= 1) {
-    metrics_.Increment("brownout_shed_tracing");
+    shed_tracing_.Increment();
     trace_wanted = false;
   }
   ServeOptions serve;
@@ -363,7 +365,7 @@ OntologyServer::Reply OntologyServer::ServeAdmitted(
   serve.cancel = drain_cancel_;
   serve.target = request.target;
   if (level >= 2) {
-    metrics_.Increment("brownout_shed_minimize");
+    shed_minimize_.Increment();
     serve.shed_optional_work = true;
   }
   Trace trace;
@@ -376,28 +378,19 @@ OntologyServer::Reply OntologyServer::ServeAdmitted(
   std::unique_lock<std::mutex> vocab_lock(tenant.vocab_mutex);
   StatusOr<ConjunctiveQuery> parsed =
       ParseQuery(request.query, &tenant.vocab);
-  if (!parsed.ok()) {
-    Reply reply;
-    reply.status = parsed.status();
-    return reply;
-  }
+  if (!parsed.ok()) return ErrorReply(parsed.status());
   UnionOfCqs query(*std::move(parsed));
   if (!tenant.use_sqlite) vocab_lock.unlock();
 
   StatusOr<AnswerResult> result = tenant.engine->Serve(query, serve);
   if (!result.ok()) {
-    Reply reply;
-    reply.status = result.status();
     // A request cancelled by the drain token did nothing wrong: report
     // the retryable "server went away", not a non-retryable Cancelled.
-    if (reply.status.code() == StatusCode::kCancelled &&
+    if (result.status().code() == StatusCode::kCancelled &&
         draining_.load(std::memory_order_acquire)) {
-      reply.status = UnavailableError("request cancelled: server draining");
+      return ErrorReply(UnavailableError("request cancelled: server draining"));
     }
-    if (IsRetryableStatusCode(reply.status.code())) {
-      reply.retry_after_ms = options_.default_retry_after_ms;
-    }
-    return reply;
+    return ErrorReply(result.status());
   }
 
   if (!vocab_lock.owns_lock()) vocab_lock.lock();
@@ -421,17 +414,15 @@ OntologyServer::Reply OntologyServer::HandleStats() {
                               " misses=", cache.misses,
                               " evictions=", cache.evictions,
                               " size=", cache.size));
-  reply.info.push_back(StrCat("brownout_level=", brownout_level()));
   return reply;
 }
 
 OntologyServer::Reply OntologyServer::HandleTenants() {
   Reply reply;
   for (const auto& [name, tenant] : tenants_) {
-    reply.info.push_back(
-        StrCat(name, " inflight=",
-               tenant->gate.inflight(),
-               " backend=", tenant->use_sqlite ? "sqlite" : "memory"));
+    reply.info.push_back(StrCat(name, " inflight=", tenant->gate.inflight(),
+                                " backend=",
+                                tenant->engine->options().backend->name()));
   }
   return reply;
 }
@@ -446,22 +437,21 @@ void OntologyServer::AcceptLoop() {
     // Chaos: a connection dropped right after accept — the client sees a
     // reset and retries; the server must not leak the fd or a slot.
     if (!CheckFaultPoint("server.accept").ok()) {
-      metrics_.Increment("server_accept_faults");
+      accept_faults_.Increment();
       close(fd);
       continue;
     }
     if (draining_.load(std::memory_order_acquire) ||
         stopping_.load(std::memory_order_acquire)) {
-      metrics_.Increment("server_shed_draining");
-      WriteAll(fd, ShedReply("server is draining").Serialize());
+      shed_draining_.Increment();
+      WriteAll(fd, ErrorReply(UnavailableError(kDrainingMessage)).Serialize());
       close(fd);
       continue;
     }
     bool queued = false;
     {
       std::lock_guard<std::mutex> lock(queue_mutex_);
-      if (pending_connections_.size() <
-          static_cast<std::size_t>(options_.max_queued_connections)) {
+      if (pending_connections_.size() < kMaxQueuedConnections) {
         auto conn = std::make_unique<Connection>();
         conn->fd = fd;
         pending_connections_.push_back(std::move(conn));
@@ -471,12 +461,10 @@ void OntologyServer::AcceptLoop() {
     if (queued) {
       queue_cv_.notify_one();
     } else {
-      metrics_.Increment("server_shed_queue_full");
-      Reply reply;
-      reply.status =
-          ResourceExhaustedError("connection queue full — retry with backoff");
-      reply.retry_after_ms = options_.default_retry_after_ms;
-      WriteAll(fd, reply.Serialize());
+      shed_queue_full_.Increment();
+      WriteAll(fd, ErrorReply(ResourceExhaustedError(
+                                  "connection queue full — retry with backoff"))
+                       .Serialize());
       close(fd);
     }
   }
@@ -557,7 +545,7 @@ bool OntologyServer::ServiceReadable(Connection* conn) {
   // Chaos: a read torn mid-stream — drop the connection, never parse a
   // half-delivered request.
   if (!CheckFaultPoint("server.read").ok()) {
-    metrics_.Increment("server_read_faults");
+    read_faults_.Increment();
     close(fd);
     return false;
   }

@@ -75,10 +75,11 @@
 //   counters  server_requests, server_responses_ok, server_responses_err,
 //             server_shed_quota, server_shed_tenant_inflight,
 //             server_shed_global, server_queue_deadline,
-//             server_shed_draining, server_accept_faults,
-//             server_read_faults, brownout_shed_tracing,
-//             brownout_shed_minimize
-//   gauges    server_inflight, brownout_level
+//             server_shed_draining, server_shed_queue_full,
+//             server_accept_faults, server_read_faults,
+//             brownout_shed_tracing, brownout_shed_minimize
+//   gauges    server_inflight, brownout_level (both read live from the
+//             global gate at Snapshot time)
 
 namespace ontorew {
 
@@ -117,9 +118,6 @@ struct OntologyServerOptions {
   // port() after Start).
   int port = 0;
   int num_workers = 4;
-  // Accepted connections queued for a worker; beyond this the acceptor
-  // sheds the connection with a retryable error.
-  int max_queued_connections = 64;
   // Global concurrent-request slots across all tenants; 0 = unlimited.
   std::size_t max_inflight_global = 32;
   // How long a request may queue for a global slot before shedding.
@@ -128,9 +126,6 @@ struct OntologyServerOptions {
   // when the global cap is unlimited).
   double shed_tracing_ratio = 0.75;
   double shed_optional_ratio = 0.9;
-  // The retry_after_ms hint attached to sheds that have no better number
-  // (quota sheds use the bucket's exact refill time instead).
-  std::int64_t default_retry_after_ms = 25;
   // Capacity of the cross-tenant shared rewrite cache.
   std::size_t shared_cache_capacity = 512;
 };
@@ -208,6 +203,8 @@ class OntologyServer {
     std::vector<std::string> info;
     std::string Serialize() const;
   };
+  // An error reply; a retryable status carries the default backoff hint.
+  static Reply ErrorReply(Status status);
 
   // One open client connection, owned by the queue between service
   // rounds. Workers multiplex: a worker pops a connection, services at
@@ -232,9 +229,6 @@ class OntologyServer {
                       const Deadline& deadline);
   Reply HandleStats();
   Reply HandleTenants();
-  Reply ShedReply(std::string_view why) const;
-  // The reply for a request a `layer` admission gate refused.
-  Reply AdmissionRefused(std::string_view layer, const Status& status) const;
 
   OntologyServerOptions options_;
   AdmissionGate gate_;  // Layer 3: the global slots.
@@ -255,7 +249,23 @@ class OntologyServer {
   std::condition_variable queue_cv_;
   std::deque<std::unique_ptr<Connection>> pending_connections_;
 
+  // Metric handles, registered once (names: see the top of this file).
   MetricsRegistry metrics_;
+  Counter& requests_ = metrics_.RegisterCounter("server_requests");
+  Counter& responses_ok_ = metrics_.RegisterCounter("server_responses_ok");
+  Counter& responses_err_ = metrics_.RegisterCounter("server_responses_err");
+  Counter& shed_quota_ = metrics_.RegisterCounter("server_shed_quota");
+  Counter& shed_tenant_inflight_ =
+      metrics_.RegisterCounter("server_shed_tenant_inflight");
+  Counter& shed_global_ = metrics_.RegisterCounter("server_shed_global");
+  Counter& queue_deadline_ = metrics_.RegisterCounter("server_queue_deadline");
+  Counter& shed_draining_ = metrics_.RegisterCounter("server_shed_draining");
+  Counter& shed_queue_full_ =
+      metrics_.RegisterCounter("server_shed_queue_full");
+  Counter& accept_faults_ = metrics_.RegisterCounter("server_accept_faults");
+  Counter& read_faults_ = metrics_.RegisterCounter("server_read_faults");
+  Counter& shed_tracing_ = metrics_.RegisterCounter("brownout_shed_tracing");
+  Counter& shed_minimize_ = metrics_.RegisterCounter("brownout_shed_minimize");
 };
 
 }  // namespace ontorew

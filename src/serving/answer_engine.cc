@@ -79,17 +79,12 @@ std::shared_ptr<const DatalogProgram> DatalogOf(
   return std::shared_ptr<const DatalogProgram>(cached, &*cached->datalog);
 }
 
-// The requests_by_status_<Code> counter name, from a table built once.
-std::string_view RequestsByStatusName(StatusCode code) {
-  static const std::vector<std::string> kNames = [] {
-    std::vector<std::string> names;
-    for (int c = 0; c <= static_cast<int>(StatusCode::kUnavailable); ++c) {
-      names.push_back(StrCat("requests_by_status_",
-                             StatusCodeName(static_cast<StatusCode>(c))));
-    }
-    return names;
-  }();
-  return kNames[static_cast<std::size_t>(code)];
+// `options` with the default InMemoryBackend installed when none is set.
+AnswerEngineOptions WithBackend(AnswerEngineOptions options) {
+  if (options.backend == nullptr) {
+    options.backend = std::make_shared<InMemoryBackend>();
+  }
+  return options;
 }
 
 }  // namespace
@@ -108,20 +103,19 @@ AnswerEngine::AnswerEngine(TgdProgram program, Database db,
                            AnswerEngineOptions options)
     : program_(std::make_shared<const TgdProgram>(std::move(program))),
       db_(std::make_shared<const Database>(std::move(db))),
-      options_(std::move(options)),
+      options_(WithBackend(std::move(options))),
       fingerprint_(FingerprintProgram(*program_)),
       cache_(options_.shared_cache != nullptr
                  ? options_.shared_cache
                  : std::make_shared<RewriteCache>(options_.cache_capacity)),
       gate_(options_.max_inflight, options_.admission_timeout) {
-  if (options_.backend == nullptr) {
-    options_.backend = std::make_shared<InMemoryBackend>();
+  for (std::size_t c = 0; c < requests_by_status_.size(); ++c) {
+    requests_by_status_[c] = &metrics_.RegisterCounter(StrCat(
+        "requests_by_status_", StatusCodeName(static_cast<StatusCode>(c))));
   }
-  const std::string_view name = options_.backend->name();
-  backend_metrics_ = {StrCat("backend_", name, "_exec"),
-                      StrCat("backend_", name, "_exec_ns"),
-                      StrCat("backend_", name, "_load"),
-                      StrCat("backend_", name, "_load_ns")};
+  metrics_.RegisterGauge("inflight", [this] {
+    return static_cast<std::int64_t>(gate_.inflight());
+  });
   ReloadBackend();
 }
 
@@ -134,10 +128,10 @@ void AnswerEngine::ReloadBackend() {
   const Snapshot snap = CurrentSnapshot();
   Status status;
   {
-    ScopedTimer timer(&metrics_, backend_metrics_.load_ns);
+    TraceSpan load_span(TraceContext(), "load", &backend_load_ns_);
     status = options_.backend->Load(*snap.program, snap.db);
   }
-  if (status.ok()) metrics_.Increment(backend_metrics_.load);
+  if (status.ok()) backend_load_.Increment();
   std::lock_guard<std::mutex> lock(mutex_);
   backend_status_ = std::move(status);
 }
@@ -209,12 +203,12 @@ StatusOr<std::shared_ptr<const CachedRewriting>> AnswerEngine::RewriteInternal(
       cache_span.Attr("cache", "disabled");
     } else if (std::shared_ptr<const CachedRewriting> hit =
                    cache_->Lookup(key)) {
-      metrics_.Increment("rewrite_cache_hit");
+      cache_hit_.Increment();
       cache_span.Attr("cache", "hit");
       if (cache_hit != nullptr) *cache_hit = true;
       return hit;
     } else {
-      metrics_.Increment("rewrite_cache_miss");
+      cache_miss_.Increment();
       cache_span.Attr("cache", "miss");
     }
   }
@@ -223,7 +217,10 @@ StatusOr<std::shared_ptr<const CachedRewriting>> AnswerEngine::RewriteInternal(
   // work instead of serializing every caller behind one saturation.
   auto entry = std::make_shared<CachedRewriting>();
   {
-    TraceSpan rewrite_span(trace, "rewrite");
+    // Times kUcq saturation; kCte reports its own phases (below).
+    TraceSpan rewrite_span(
+        trace, "rewrite",
+        target == RewriteTarget::kUcq ? &rewrite_ns_ : nullptr);
     RewriterOptions rewriter = options_.rewriter;
     // The per-request scope tightens whatever the engine-wide options
     // carry: the earlier deadline wins, the request token applies.
@@ -237,7 +234,7 @@ StatusOr<std::shared_ptr<const CachedRewriting>> AnswerEngine::RewriteInternal(
       // still sound and complete — minimization only removes redundant
       // disjuncts — so answers are unchanged; only CPU is saved.
       rewriter.minimize = false;
-      metrics_.Increment("rewrite_degraded");
+      degraded_.Increment();
       rewrite_span.Attr("degraded", "no-minimize");
     }
     if (target == RewriteTarget::kCte) {
@@ -255,13 +252,11 @@ StatusOr<std::shared_ptr<const CachedRewriting>> AnswerEngine::RewriteInternal(
         rewrite_span.AnnotateStatus(dag.status());
         return dag.status();
       }
-      metrics_.AddTimeNs("rewrite_ns", dag->saturate_ns);
-      metrics_.AddTimeNs("factor_ns", dag->factor_ns);
-      metrics_.Increment("rewrite_pruned_total", dag->pruned);
-      metrics_.SetGauge("rewrite_threads", dag->threads_used);
-      metrics_.Increment("rewrite_factored");
-      metrics_.Increment(dag->fallback ? "rewrite_dag_fallback"
-                                       : "rewrite_dag");
+      rewrite_ns_.AddNs(dag->saturate_ns);
+      factor_ns_.AddNs(dag->factor_ns);
+      pruned_.Increment(dag->pruned);
+      factored_.Increment();
+      (dag->fallback ? dag_fallback_ : dag_).Increment();
       rewrite_span.Attr("mode", dag->fallback ? "flat-fallback" : "dag");
       rewrite_span.Attr("groups", static_cast<std::int64_t>(dag->groups));
       rewrite_span.Attr("memo_hits",
@@ -269,7 +264,6 @@ StatusOr<std::shared_ptr<const CachedRewriting>> AnswerEngine::RewriteInternal(
       rewrite_span.Attr("disjuncts", dag->implied_disjuncts);
       entry->datalog = std::move(dag->program);
     } else {
-      ScopedTimer timer(&metrics_, "rewrite_ns");
       StatusOr<RewriteResult> rewritten =
           RewriteUcq(query, *snap.program, rewriter);
       if (!rewritten.ok()) {
@@ -277,8 +271,7 @@ StatusOr<std::shared_ptr<const CachedRewriting>> AnswerEngine::RewriteInternal(
         return rewritten.status();
       }
       RewriteResult result = std::move(rewritten).value();
-      metrics_.Increment("rewrite_pruned_total", result.pruned);
-      metrics_.SetGauge("rewrite_threads", result.threads_used);
+      pruned_.Increment(result.pruned);
       rewrite_span.Attr(
           "disjuncts",
           static_cast<std::int64_t>(result.ucq.disjuncts().size()));
@@ -294,19 +287,19 @@ StatusOr<std::shared_ptr<const CachedRewriting>> AnswerEngine::RewriteInternal(
   }
   std::int64_t evictions = 0;
   rewriting = cache_->Insert(key, std::move(rewriting), &evictions);
-  if (evictions > 0) metrics_.Increment("rewrite_cache_eviction", evictions);
+  if (evictions > 0) evictions_.Increment(evictions);
   return rewriting;
 }
 
 StatusOr<AnswerResult> AnswerEngine::Serve(const UnionOfCqs& query,
                                            const ServeOptions& serve) {
-  metrics_.Increment("queries_served");
+  served_.Increment();
   const CancelScope scope(serve.deadline, serve.cancel);
-  TraceSpan serve_span(serve.trace, "serve");
+  TraceSpan serve_span(TraceContext(serve.trace), "serve");
   // One requests_by_status_<Code> tick per Serve, on every exit path —
   // the counter split tests (and dashboards) key on.
   const auto record_status = [this](StatusCode code) {
-    metrics_.Increment(RequestsByStatusName(code));
+    requests_by_status_[static_cast<std::size_t>(code)]->Increment();
   };
 
   Status admitted;
@@ -319,26 +312,24 @@ StatusOr<AnswerResult> AnswerEngine::Serve(const UnionOfCqs& query,
     serve_span.AnnotateStatus(admitted);
     record_status(admitted.code());
     if (admitted.code() == StatusCode::kDeadlineExceeded) {
-      metrics_.Increment("admission_queue_deadline");
-      metrics_.Increment("deadline_exceeded");
+      queue_deadline_.Increment();
+      deadline_.Increment();
     } else {
-      metrics_.Increment("requests_shed");
+      shed_.Increment();
     }
     return admitted;
   }
-  metrics_.AdjustGauge("inflight", 1);
 
   StatusOr<AnswerResult> result =
       ServeAdmitted(query, scope, serve_span.context(),
                     serve.target.value_or(options_.target),
                     serve.shed_optional_work);
-  metrics_.AdjustGauge("inflight", -1);
   gate_.Release();
   record_status(result.ok() ? StatusCode::kOk : result.status().code());
   if (!result.ok()) {
     serve_span.AnnotateStatus(result.status());
     if (result.status().code() == StatusCode::kDeadlineExceeded) {
-      metrics_.Increment("deadline_exceeded");
+      deadline_.Increment();
     }
   }
   return result;
@@ -383,7 +374,7 @@ StatusOr<AnswerResult> AnswerEngine::ServeAdmitted(
       }
       result.answers = std::move(answers).value();
       result.served_via_chase = true;
-      metrics_.Increment("fallback_chase_served");
+      chase_served_.Increment();
       return result;
     }
     return rewriting.status();
@@ -392,7 +383,7 @@ StatusOr<AnswerResult> AnswerEngine::ServeAdmitted(
   result.rewriting = UcqOf(cached);
   result.datalog = DatalogOf(cached);
 
-  TraceSpan eval_span(trace, "eval");
+  TraceSpan eval_span(trace, "eval", &backend_exec_ns_);
   if (!snap.backend_status.ok()) {
     eval_span.AnnotateStatus(snap.backend_status);
     return snap.backend_status;
@@ -408,25 +399,22 @@ StatusOr<AnswerResult> AnswerEngine::ServeAdmitted(
                                : options_.eval.cancel.token());
   exec.num_threads = options_.num_threads;
   exec.trace = eval_span.context();
-  {
-    ScopedTimer timer(&metrics_, backend_metrics_.exec_ns);
-    // Under kCte the factored program goes to the backend natively (a SQL
-    // backend runs it as one WITH-CTE statement; others unfold); under
-    // kUcq the flat union runs as is.
-    StatusOr<std::vector<Tuple>> answers =
-        result.datalog != nullptr
-            ? backend.ExecuteDatalog(*result.datalog, exec, &result.eval)
-            : backend.Execute(*result.rewriting, exec, &result.eval);
-    if (!answers.ok()) {
-      eval_span.AnnotateStatus(answers.status());
-      return answers.status();
-    }
-    result.answers = std::move(answers).value();
+  // Under kCte the factored program goes to the backend natively (a SQL
+  // backend runs it as one WITH-CTE statement; others unfold); under kUcq
+  // the flat union runs as is.
+  StatusOr<std::vector<Tuple>> answers =
+      result.datalog != nullptr
+          ? backend.ExecuteDatalog(*result.datalog, exec, &result.eval)
+          : backend.Execute(*result.rewriting, exec, &result.eval);
+  if (!answers.ok()) {
+    eval_span.AnnotateStatus(answers.status());
+    return answers.status();
   }
-  metrics_.Increment(backend_metrics_.exec);
+  result.answers = std::move(answers).value();
+  backend_exec_.Increment();
   eval_span.Attr("rows", static_cast<std::int64_t>(result.answers.size()));
-  metrics_.Increment("eval_tuples_examined", result.eval.tuples_examined);
-  metrics_.Increment("eval_matches", result.eval.matches);
+  examined_.Increment(result.eval.tuples_examined);
+  matches_.Increment(result.eval.matches);
   return result;
 }
 
@@ -436,7 +424,7 @@ StatusOr<ExplainResult> AnswerEngine::Explain(const UnionOfCqs& query,
   ExplainResult explain;
   explain.trace = std::make_shared<Trace>();
   const CancelScope scope(serve.deadline, serve.cancel);
-  TraceSpan root(explain.trace.get(), "explain");
+  TraceSpan root(TraceContext(explain.trace.get()), "explain");
 
   const Snapshot snap = CurrentSnapshot();
   explain.target = serve.target.value_or(options_.target);

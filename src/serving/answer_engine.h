@@ -1,6 +1,7 @@
 #ifndef ONTOREW_SERVING_ANSWER_ENGINE_H_
 #define ONTOREW_SERVING_ANSWER_ENGINE_H_
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -15,6 +16,7 @@
 #include "base/deadline.h"
 #include "base/metrics.h"
 #include "base/status.h"
+#include "base/strings.h"
 #include "base/trace.h"
 #include "chase/chase.h"
 #include "db/database.h"
@@ -34,7 +36,8 @@
 // rewritings keyed by (program fingerprint, canonical query key), hands
 // the cached rewriting to its Backend for evaluation — an InMemoryBackend
 // sharing the engine's Database unless the caller configures another —
-// and records per-stage counters/timers in a MetricsRegistry.
+// and records per-stage counters/timers in a MetricsRegistry, through
+// handles registered at construction.
 //
 // Overload safety (see DESIGN.md "Serving layer"): Serve takes a
 // per-request ServeOptions with an absolute deadline and an optional
@@ -65,9 +68,10 @@
 //             rewrite_dag, rewrite_dag_fallback,
 //             backend_<name>_exec, backend_<name>_load,
 //             requests_by_status_<CodeName> (one per final Serve status)
-//   gauges    inflight, rewrite_threads
-//   timers    rewrite_ns, factor_ns, backend_<name>_exec_ns,
-//             backend_<name>_load_ns
+//   gauges    inflight (read from the admission gate at Snapshot time)
+//   timers    rewrite_ns (saturation), factor_ns, backend_<name>_exec_ns
+//             (the eval span), backend_<name>_load_ns
+// A counter or timer shows in Snapshot() once it has been recorded to.
 
 namespace ontorew {
 
@@ -317,11 +321,6 @@ class AnswerEngine {
   std::uint64_t fingerprint_;
   Status backend_status_;
 
-  // The backend's metric names, built once at construction.
-  struct {
-    std::string exec, exec_ns, load, load_ns;
-  } backend_metrics_;
-
   // Serializes mutators (AddTgd, ReplaceDatabase): two racing AddTgds
   // must not each extend the *original* program and lose one TGD.
   std::mutex update_mutex_;
@@ -338,7 +337,35 @@ class AnswerEngine {
 
   AdmissionGate gate_;
 
+  // Metric handles, registered once (names: see the top of this file).
   MetricsRegistry metrics_;
+  Counter& served_ = metrics_.RegisterCounter("queries_served");
+  Counter& cache_hit_ = metrics_.RegisterCounter("rewrite_cache_hit");
+  Counter& cache_miss_ = metrics_.RegisterCounter("rewrite_cache_miss");
+  Counter& evictions_ = metrics_.RegisterCounter("rewrite_cache_eviction");
+  Counter& pruned_ = metrics_.RegisterCounter("rewrite_pruned_total");
+  Counter& degraded_ = metrics_.RegisterCounter("rewrite_degraded");
+  Counter& factored_ = metrics_.RegisterCounter("rewrite_factored");
+  Counter& dag_ = metrics_.RegisterCounter("rewrite_dag");
+  Counter& dag_fallback_ = metrics_.RegisterCounter("rewrite_dag_fallback");
+  Counter& examined_ = metrics_.RegisterCounter("eval_tuples_examined");
+  Counter& matches_ = metrics_.RegisterCounter("eval_matches");
+  Counter& deadline_ = metrics_.RegisterCounter("deadline_exceeded");
+  Counter& shed_ = metrics_.RegisterCounter("requests_shed");
+  Counter& queue_deadline_ =
+      metrics_.RegisterCounter("admission_queue_deadline");
+  Counter& chase_served_ = metrics_.RegisterCounter("fallback_chase_served");
+  // "backend_<name>", the prefix of the backend's metric names.
+  const std::string backend_ = StrCat("backend_", options_.backend->name());
+  Counter& backend_exec_ = metrics_.RegisterCounter(backend_ + "_exec");
+  Counter& backend_load_ = metrics_.RegisterCounter(backend_ + "_load");
+  Timer& rewrite_ns_ = metrics_.RegisterTimer("rewrite_ns");
+  Timer& factor_ns_ = metrics_.RegisterTimer("factor_ns");
+  Timer& backend_exec_ns_ = metrics_.RegisterTimer(backend_ + "_exec_ns");
+  Timer& backend_load_ns_ = metrics_.RegisterTimer(backend_ + "_load_ns");
+  // requests_by_status_<CodeName>, indexed by StatusCode.
+  std::array<Counter*, static_cast<std::size_t>(StatusCode::kUnavailable) + 1>
+      requests_by_status_;
 };
 
 // Structural 64-bit fingerprint of a program: sensitive to every

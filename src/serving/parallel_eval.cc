@@ -36,34 +36,8 @@ StatusOr<std::vector<Tuple>> ParallelEvaluate(const UnionOfCqs& ucq,
   const int threads =
       EffectiveThreads(options.num_threads, disjuncts.size());
 
-  if (threads <= 1) {
-    if (!options.trace.enabled()) {
-      return TryEvaluate(ucq, db, options.eval, stats);
-    }
-    // Traced inline path: evaluate disjunct-by-disjunct so each scan gets
-    // its own span; the set merge reproduces the whole-UCQ evaluation's
-    // sorted, deduplicated union exactly.
-    std::set<Tuple> merged;
-    for (std::size_t i = 0; i < disjuncts.size(); ++i) {
-      TraceSpan span(options.trace, "disjunct");
-      span.Attr("disjunct", static_cast<std::int64_t>(i));
-      EvalStats local;
-      StatusOr<std::vector<Tuple>> tuples =
-          TryEvaluate(disjuncts[i], db, options.eval, &local);
-      if (stats != nullptr) {
-        stats->tuples_examined += local.tuples_examined;
-        stats->matches += local.matches;
-      }
-      span.Attr("tuples_examined",
-                static_cast<std::int64_t>(local.tuples_examined));
-      if (!tuples.ok()) {
-        span.AnnotateStatus(tuples.status());
-        return tuples.status();
-      }
-      span.Attr("rows", static_cast<std::int64_t>(tuples->size()));
-      for (Tuple& tuple : *tuples) merged.insert(std::move(tuple));
-    }
-    return std::vector<Tuple>(merged.begin(), merged.end());
+  if (threads <= 1 && !options.trace.enabled()) {
+    return TryEvaluate(ucq, db, options.eval, stats);
   }
 
   // Workers pull disjunct indices from a shared counter (cheap dynamic
@@ -72,7 +46,8 @@ StatusOr<std::vector<Tuple>> ParallelEvaluate(const UnionOfCqs& ucq,
   // deterministic merge below. A pool-local token, chained under the
   // caller's, short-circuits the siblings of the first failing worker:
   // their in-flight scans stop at the next stride check and no further
-  // disjuncts are claimed.
+  // disjuncts are claimed. A traced single-thread call runs the same
+  // per-disjunct body, on the calling thread alone, for its spans.
   auto trip = std::make_shared<CancelToken>(options.eval.cancel.token());
   EvalOptions worker_eval = options.eval;
   worker_eval.cancel = options.eval.cancel.WithToken(trip);
@@ -86,49 +61,48 @@ StatusOr<std::vector<Tuple>> ParallelEvaluate(const UnionOfCqs& ucq,
   std::mutex error_mutex;
   Status first_error;
   std::size_t first_error_index = disjuncts.size();
-  {
-    std::vector<std::jthread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int w = 0; w < threads; ++w) {
-      pool.emplace_back([&, w] {
-        std::set<Tuple>& mine = partial[static_cast<std::size_t>(w)];
-        EvalStats& my_stats = worker_stats[static_cast<std::size_t>(w)];
-        for (std::size_t i = next.fetch_add(1); i < disjuncts.size();
-             i = next.fetch_add(1)) {
-          if (trip->cancelled()) break;
-          TraceSpan span(options.trace, "disjunct");
-          span.Attr("disjunct", static_cast<std::int64_t>(i));
-          const long long examined_before = my_stats.tuples_examined;
-          StatusOr<std::vector<Tuple>> tuples =
-              TryEvaluate(disjuncts[i], db, worker_eval, &my_stats);
-          span.Attr("tuples_examined",
-                    static_cast<std::int64_t>(my_stats.tuples_examined -
-                                              examined_before));
-          if (!tuples.ok()) {
-            span.AnnotateStatus(tuples.status());
-            // A Cancelled status caused by the pool-local trip (not by
-            // the caller's own token) is collateral from another worker's
-            // failure — don't let it shadow the root cause.
-            const bool secondary =
-                tuples.status().code() == StatusCode::kCancelled &&
-                !options.eval.cancel.cancelled();
-            if (!secondary) {
-              std::lock_guard<std::mutex> lock(error_mutex);
-              if (i < first_error_index) {
-                first_error_index = i;
-                first_error = tuples.status();
-              }
-            }
-            trip->Cancel();
-            break;
-          }
-          span.Attr("rows", static_cast<std::int64_t>(tuples->size()));
-          for (Tuple& tuple : *tuples) {
-            mine.insert(std::move(tuple));
+  const auto work = [&](int w) {
+    std::set<Tuple>& mine = partial[static_cast<std::size_t>(w)];
+    EvalStats& my_stats = worker_stats[static_cast<std::size_t>(w)];
+    for (std::size_t i = next.fetch_add(1); i < disjuncts.size();
+         i = next.fetch_add(1)) {
+      if (trip->cancelled()) break;
+      TraceSpan span(options.trace, "disjunct");
+      span.Attr("disjunct", static_cast<std::int64_t>(i));
+      const long long examined_before = my_stats.tuples_examined;
+      StatusOr<std::vector<Tuple>> tuples =
+          TryEvaluate(disjuncts[i], db, worker_eval, &my_stats);
+      span.Attr("tuples_examined",
+                static_cast<std::int64_t>(my_stats.tuples_examined -
+                                          examined_before));
+      if (!tuples.ok()) {
+        span.AnnotateStatus(tuples.status());
+        // A Cancelled status caused by the pool-local trip (not by
+        // the caller's own token) is collateral from another worker's
+        // failure — don't let it shadow the root cause.
+        const bool secondary =
+            tuples.status().code() == StatusCode::kCancelled &&
+            !options.eval.cancel.cancelled();
+        if (!secondary) {
+          std::lock_guard<std::mutex> lock(error_mutex);
+          if (i < first_error_index) {
+            first_error_index = i;
+            first_error = tuples.status();
           }
         }
-      });
+        trip->Cancel();
+        break;
+      }
+      span.Attr("rows", static_cast<std::int64_t>(tuples->size()));
+      for (Tuple& tuple : *tuples) {
+        mine.insert(std::move(tuple));
+      }
     }
+  };
+  {
+    std::vector<std::jthread> pool;
+    for (int w = 1; w < threads; ++w) pool.emplace_back(work, w);
+    work(0);  // The calling thread is worker 0.
   }  // jthreads join here.
 
   if (stats != nullptr) {

@@ -41,9 +41,7 @@ struct ParallelEvalOptions {
   // Request-scoped tracing (see base/trace.h). Inert by default; when
   // enabled, every disjunct scan records a "disjunct" span (attributes
   // disjunct, tuples_examined, rows) under the context's parent — workers
-  // record concurrently, the Trace serializes. The traced threads <= 1
-  // path evaluates disjunct-by-disjunct to get per-disjunct spans; its
-  // merged answer vector is identical to the whole-UCQ evaluation.
+  // record concurrently, the Trace serializes.
   TraceContext trace;
 };
 

@@ -9,7 +9,6 @@
 
 #include "base/deadline.h"
 #include "base/fault_point.h"
-#include "base/metrics.h"
 #include "base/status.h"
 #include "gtest/gtest.h"
 
@@ -254,21 +253,6 @@ TEST_F(FaultPointTest, FaultQuiesceBracketsAScopeCleanOnBothEnds) {
   }
   EXPECT_FALSE(FaultRegistry::Global().armed());
   EXPECT_TRUE(CheckFaultPoint("test.inner").ok());
-}
-
-// --- Metric gauges ----------------------------------------------------------
-
-TEST(MetricsGaugeTest, SetAdjustSnapshotAndReset) {
-  MetricsRegistry metrics;
-  metrics.SetGauge("inflight", 3);
-  metrics.AdjustGauge("inflight", 2);
-  metrics.AdjustGauge("inflight", -4);
-  MetricsSnapshot snapshot = metrics.Snapshot();
-  EXPECT_EQ(snapshot.Gauge("inflight"), 1);
-  EXPECT_EQ(snapshot.Gauge("absent"), 0);
-  EXPECT_NE(snapshot.ToString().find("inflight = 1"), std::string::npos);
-  metrics.Reset();
-  EXPECT_EQ(metrics.Snapshot().Gauge("inflight"), 0);
 }
 
 }  // namespace

@@ -491,6 +491,18 @@ TEST_F(ServerTest, BrownoutShedsTracingBeforeShedingRequests) {
   held.release_promise.set_value();
   holder.join();
   EXPECT_EQ(server.brownout_level(), 0);
+  // The gauge reads the live level, not the one the last admitted
+  // request saw, and STATS reports it exactly once.
+  EXPECT_EQ(server.metrics().Snapshot().Gauge("brownout_level"), 0);
+  const WireResponse stats = MustParse(server.ServeLine("STATS"));
+  ASSERT_TRUE(stats.status.ok());
+  std::vector<std::string> level_lines;
+  for (const std::string& line : stats.info) {
+    if (line.find("brownout_level") != std::string::npos) {
+      level_lines.push_back(line);
+    }
+  }
+  EXPECT_EQ(level_lines, std::vector<std::string>{"brownout_level = 0"});
 
   // Healthy again: the same request now gets its trace.
   const WireResponse traced = MustParse(
@@ -606,6 +618,9 @@ TEST_F(ServerTest, StatsAndTenantsVerbs) {
   ASSERT_TRUE(tenants.status.ok());
   ASSERT_EQ(tenants.info.size(), 1u);
   EXPECT_NE(tenants.info[0].find("uni"), std::string::npos);
+  // The backend is named as in its metrics and spans.
+  EXPECT_NE(tenants.info[0].find("backend=inmemory"), std::string::npos)
+      << tenants.info[0];
 }
 
 TEST_F(ServerTest, AddTenantValidation) {

@@ -348,9 +348,6 @@ TEST(AnswerEngineTest, MetricsSnapshotCountsHitsAndMisses) {
   // Only misses pay rewriting time; every serve pays evaluation time.
   EXPECT_GT(snapshot.TimerNs("rewrite_ns"), 0);
   EXPECT_GT(snapshot.TimerNs("backend_inmemory_exec_ns"), 0);
-
-  engine.metrics().Reset();
-  EXPECT_EQ(engine.metrics().Snapshot().Counter("queries_served"), 0);
 }
 
 TEST(AnswerEngineTest, ServeReportsCacheHitAndRewriting) {
@@ -1152,17 +1149,43 @@ struct DivergentCteFixture {
 };
 
 TEST(AnswerEngineTraceTest, CteDeadlineExpiryLeavesPartialDagTrace) {
+  // The deadline "expires" at a fixed saturation step inside the first
+  // (divergent) group: rewrite.step armed to return DeadlineExceeded
+  // after N hits. N is half the hits a probe makes before a small
+  // max_cqs cap aborts that same group, so it always lands inside it.
   DivergentCteFixture fx;
-  AnswerEngine engine(fx.program, Database(), fx.options);
+  ServeOptions as_cte;
+  as_cte.target = RewriteTarget::kCte;
+  std::int64_t group_hits = 0;
+  {
+    AnswerEngineOptions capped = fx.options;
+    capped.rewriter.max_cqs = 200;
+    AnswerEngine probe(fx.program, Database(), capped);
+    FaultPointConfig count_only;
+    count_only.probability = 0.0;
+    ScopedFault counting("rewrite.step", count_only);
+    StatusOr<AnswerResult> result = probe.Serve(fx.query, as_cte);
+    ASSERT_FALSE(result.ok());
+    ASSERT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+    group_hits = FaultRegistry::Global().hits("rewrite.step");
+  }
+  FaultRegistry::Global().Reset();
+  ASSERT_GT(group_hits, 2);
 
+  AnswerEngine engine(fx.program, Database(), fx.options);
   Trace trace;
-  ServeOptions serve;
+  ServeOptions serve = as_cte;
   serve.trace = &trace;
-  serve.target = RewriteTarget::kCte;
-  serve.deadline = Deadline::AfterMillis(1);
-  StatusOr<AnswerResult> result = engine.Serve(fx.query, serve);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  {
+    FaultPointConfig expiry;
+    expiry.after = group_hits / 2;
+    expiry.code = StatusCode::kDeadlineExceeded;
+    ScopedFault fault("rewrite.step", expiry);
+    StatusOr<AnswerResult> result = engine.Serve(fx.query, serve);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  }
+  FaultRegistry::Global().Reset();
 
   // The abort unwinds through the DAG rewriter: every span closed, the
   // rewrite span carries the status, and the trace shows how far the

@@ -180,7 +180,7 @@ TEST(TraceTest, ToJsonMarksOpenSpans) {
 TEST(TraceSpanTest, RaiiSpanEndsOnScopeExit) {
   Trace trace;
   {
-    TraceSpan span(&trace, "scoped");
+    TraceSpan span(TraceContext(&trace), "scoped");
     span.Attr("k", "v");
     EXPECT_TRUE(span.enabled());
   }
@@ -193,7 +193,7 @@ TEST(TraceSpanTest, RaiiSpanEndsOnScopeExit) {
 TEST(TraceSpanTest, ManualEndIsIdempotentWithDestructor) {
   Trace trace;
   {
-    TraceSpan span(&trace, "scoped");
+    TraceSpan span(TraceContext(&trace), "scoped");
     span.End();
     span.End();  // Explicitly idempotent...
     span.Attr("late", "ignored");  // ...and attrs after End are dropped.
@@ -216,7 +216,7 @@ TEST(TraceSpanTest, DisabledContextIsInert) {
 
 TEST(TraceSpanTest, ContextChainsChildrenToParent) {
   Trace trace;
-  TraceSpan parent(&trace, "parent");
+  TraceSpan parent(TraceContext(&trace), "parent");
   {
     TraceSpan child(parent.context(), "child");
     EXPECT_TRUE(child.enabled());
@@ -237,7 +237,7 @@ TEST(TraceTest, ConcurrentSpansFromManyThreadsAllRecorded) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&trace, root] {
       for (int i = 0; i < kSpansPerThread; ++i) {
-        TraceSpan span(&trace, "work", root);
+        TraceSpan span(TraceContext(&trace, root), "work");
         span.Attr("i", static_cast<std::int64_t>(i));
       }
     });
