@@ -1,8 +1,9 @@
 #include "chase/chase.h"
 
-#include <string>
-#include <unordered_map>
+#include <algorithm>
+#include <cstdint>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "base/fault_point.h"
@@ -12,63 +13,92 @@
 namespace ontorew {
 namespace {
 
-// A stable key for (rule, frontier binding), used to fire each oblivious
-// trigger exactly once.
-std::string TriggerKey(int rule_index, const Tgd& tgd,
-                       const Binding& binding) {
-  std::string key = StrCat("r", rule_index);
-  for (VariableId v : tgd.DistinguishedVariables()) {
-    auto it = binding.find(v);
-    // Distinguished variables occur in the body, so every body match
-    // binds them.
-    key += StrCat("|", it->second.is_null() ? "n" : "c", it->second.id());
-  }
-  // For the oblivious chase the trigger is identified by the whole body
-  // homomorphism, not just the frontier.
-  for (VariableId v : tgd.ExistentialBodyVariables()) {
-    auto it = binding.find(v);
-    key += StrCat("|", it->second.is_null() ? "n" : "c", it->second.id());
-  }
-  return key;
-}
-
-// Instantiates the head of `tgd` under `binding`, inventing one fresh null
-// per existential head variable, and inserts the atoms into `db`. Returns
-// true if any tuple was new.
-bool ApplyTrigger(const Tgd& tgd, const Binding& binding, Database* db) {
-  std::unordered_map<VariableId, Value> nulls;
-  bool inserted = false;
-  for (const Atom& alpha : tgd.head()) {
-    Tuple tuple;
-    tuple.reserve(alpha.terms().size());
-    for (Term t : alpha.terms()) {
-      if (t.is_constant()) {
-        tuple.push_back(Value::Constant(t.id()));
-        continue;
+// A TGD laid out over slots (see SlotView): triggers are matches of the
+// body, and the head is instantiated through the head's own slots.
+struct RuleSlots {
+  explicit RuleSlots(const Tgd& tgd) {
+    const std::vector<VariableId> body = DistinctVariables(tgd.body());
+    const std::vector<VariableId> head = DistinctVariables(tgd.head());
+    const auto slot_of = [](const std::vector<VariableId>& vars,
+                            VariableId v) {
+      auto it = std::find(vars.begin(), vars.end(), v);
+      return it == vars.end() ? -1 : static_cast<int>(it - vars.begin());
+    };
+    body_slots = body.size();
+    head_slots = head.size();
+    for (std::size_t h = 0; h < head.size(); ++h) {
+      const int b = slot_of(body, head[h]);
+      if (b < 0) {
+        existentials.push_back(static_cast<int>(h));
+      } else {
+        frontier.push_back({static_cast<int>(h), b});
       }
-      auto bound = binding.find(t.id());
-      if (bound != binding.end()) {
-        tuple.push_back(bound->second);
-        continue;
-      }
-      auto [it, is_new] = nulls.emplace(t.id(), Value());
-      if (is_new) it->second = db->FreshNull();
-      tuple.push_back(it->second);
     }
-    if (db->Insert(alpha.predicate(), std::move(tuple))) inserted = true;
+    for (const Atom& atom : tgd.head()) {
+      for (Term t : atom.terms()) {
+        head_term_slots.push_back(t.is_constant() ? -1
+                                                  : slot_of(head, t.id()));
+      }
+    }
+  }
+
+  std::size_t body_slots = 0;
+  std::size_t head_slots = 0;
+  // Each frontier variable as (head slot, body slot).
+  std::vector<std::pair<int, int>> frontier;
+  std::vector<int> existentials;  // Head slots of existential variables.
+  // The head slot of every head term (-1 for constants), atom after atom.
+  std::vector<int> head_term_slots;
+};
+
+// Instantiates the head of `tgd` under the body match `trigger`,
+// inventing one fresh null per existential head variable, and inserts
+// the atoms into `db`. Returns true if any tuple was new. `*head` is
+// reusable scratch for the head's slots.
+bool ApplyTrigger(const Tgd& tgd, const RuleSlots& rule, SlotView trigger,
+                  std::vector<Value>* head, Database* db) {
+  head->resize(rule.head_slots);
+  for (const auto& [head_slot, body_slot] : rule.frontier) {
+    (*head)[static_cast<std::size_t>(head_slot)] =
+        trigger[static_cast<std::size_t>(body_slot)];
+  }
+  for (int h : rule.existentials) {
+    (*head)[static_cast<std::size_t>(h)] = db->FreshNull();
+  }
+  bool inserted = false;
+  const int* slot = rule.head_term_slots.data();
+  for (const Atom& atom : tgd.head()) {
+    Tuple tuple;
+    tuple.reserve(atom.terms().size());
+    for (Term t : atom.terms()) {
+      const int s = *slot++;
+      tuple.push_back(s < 0 ? Value::Constant(t.id())
+                            : (*head)[static_cast<std::size_t>(s)]);
+    }
+    if (db->Insert(atom.predicate(), std::move(tuple))) inserted = true;
   }
   return inserted;
 }
 
-// True iff the head of `tgd` is satisfied in `db` under the frontier part
-// of `binding` (restricted-chase applicability test).
-bool HeadSatisfied(const Tgd& tgd, const Binding& binding,
-                   const Database& db) {
-  Binding frontier;
-  for (VariableId v : tgd.DistinguishedVariables()) {
-    frontier.emplace(v, binding.at(v));
+// Whether the head of `tgd` is satisfied in `db` under the frontier part
+// of `trigger` (restricted-chase applicability test), or the error that
+// aborted the check. `*frontier` is reusable scratch.
+StatusOr<bool> HeadSatisfied(const Tgd& tgd, const RuleSlots& rule,
+                             SlotView trigger, const Database& db,
+                             const CancelScope& cancel,
+                             std::vector<SlotBinding>* frontier) {
+  frontier->clear();
+  for (const auto& [head_slot, body_slot] : rule.frontier) {
+    frontier->push_back(
+        {head_slot, trigger[static_cast<std::size_t>(body_slot)]});
   }
-  return HasMatch(tgd.head(), db, frontier);
+  bool satisfied = false;
+  OREW_RETURN_IF_ERROR(ForEachMatch(tgd.head(), db, *frontier, cancel,
+                                    nullptr, [&satisfied](SlotView) {
+                                      satisfied = true;
+                                      return false;  // One match suffices.
+                                    }));
+  return satisfied;
 }
 
 }  // namespace
@@ -78,7 +108,16 @@ ChaseResult RunChase(const TgdProgram& program, const Database& input,
   ChaseResult result;
   result.db = input;
 
-  std::unordered_set<std::string> fired;  // Oblivious-chase trigger log.
+  // Oblivious-chase trigger log, per rule: a trigger is identified by its
+  // whole body match.
+  std::vector<std::unordered_set<Tuple, TupleHash>> fired(
+      static_cast<std::size_t>(program.size()));
+  std::vector<RuleSlots> rules;
+  rules.reserve(static_cast<std::size_t>(program.size()));
+  for (const Tgd& tgd : program.tgds()) rules.emplace_back(tgd);
+  std::vector<Value> triggers;        // One rule's triggers, row by row.
+  std::vector<SlotBinding> frontier;  // Scratch for HeadSatisfied.
+  std::vector<Value> head;            // Scratch for ApplyTrigger.
   bool capped = false;
 
   for (int round = 0; round < options.max_rounds; ++round) {
@@ -88,24 +127,28 @@ ChaseResult RunChase(const TgdProgram& program, const Database& input,
     bool changed = false;
     for (int r = 0; r < program.size() && !capped; ++r) {
       const Tgd& tgd = program.tgd(r);
+      const RuleSlots& rule = rules[static_cast<std::size_t>(r)];
       // Materialize this rule's triggers on the current instance before
-      // applying any of them (breadth-first rounds). The trigger search
-      // itself scans the growing instance, so it runs under the cancel
-      // scope too.
-      std::vector<Binding> triggers;
-      result.status = ForEachMatch(
-          tgd.body(), result.db,
-          Binding(),
-          [&triggers](const Binding& b) {
-            triggers.push_back(b);
-            return true;
-          },
-          nullptr, options.cancel);
+      // applying any of them (breadth-first rounds), as rows of body
+      // slots. The trigger search itself scans the growing instance, so
+      // it runs under the cancel scope too.
+      triggers.clear();
+      std::size_t num_triggers = 0;
+      result.status = ForEachMatch(tgd.body(), result.db, {}, options.cancel,
+                                   nullptr, [&](SlotView match) {
+                                     triggers.insert(triggers.end(),
+                                                     match.begin(),
+                                                     match.end());
+                                     ++num_triggers;
+                                     return true;
+                                   });
       if (!result.status.ok()) {
         round_span.AnnotateStatus(result.status);
         return result;
       }
-      for (const Binding& binding : triggers) {
+      for (std::size_t i = 0; i < num_triggers; ++i) {
+        const SlotView trigger(triggers.data() + i * rule.body_slots,
+                               rule.body_slots);
         result.status = options.cancel.Check("chase step");
         if (result.status.ok()) result.status = CheckFaultPoint("chase.step");
         if (!result.status.ok()) {
@@ -113,12 +156,25 @@ ChaseResult RunChase(const TgdProgram& program, const Database& input,
           return result;
         }
         if (options.variant == ChaseOptions::Variant::kOblivious) {
-          if (!fired.insert(TriggerKey(r, tgd, binding)).second) continue;
-        } else if (HeadSatisfied(tgd, binding, result.db)) {
-          continue;
+          if (!fired[static_cast<std::size_t>(r)]
+                   .emplace(trigger.begin(), trigger.end())
+                   .second) {
+            continue;
+          }
+        } else {
+          StatusOr<bool> satisfied = HeadSatisfied(
+              tgd, rule, trigger, result.db, options.cancel, &frontier);
+          if (!satisfied.ok()) {
+            result.status = satisfied.status();
+            round_span.AnnotateStatus(result.status);
+            return result;
+          }
+          if (*satisfied) continue;
         }
         ++result.applications;
-        if (ApplyTrigger(tgd, binding, &result.db)) changed = true;
+        if (ApplyTrigger(tgd, rule, trigger, &head, &result.db)) {
+          changed = true;
+        }
         if (result.db.TotalTuples() > options.max_tuples) {
           capped = true;
           break;

@@ -1,7 +1,10 @@
 #include "db/eval.h"
 
 #include <algorithm>
-#include <set>
+#include <cstddef>
+#include <cstdint>
+#include <memory_resource>
+#include <numeric>
 #include <vector>
 
 #include "base/fault_point.h"
@@ -11,69 +14,200 @@
 namespace ontorew {
 namespace {
 
-// Backtracking matcher. Atoms are ordered greedily at each step: the atom
-// with the most bound positions first (ties: smaller relation), so joins
-// use the per-column indexes as early as possible.
-class Matcher {
- public:
-  Matcher(const std::vector<Atom>& atoms, const Database& db,
-          const Binding& initial,
-          const std::function<bool(const Binding&)>& callback,
-          EvalStats* stats, const CancelScope& cancel)
-      : atoms_(atoms), db_(db), callback_(callback), stats_(stats),
-        cancel_(cancel), binding_(initial) {
-    used_.resize(atoms.size(), false);
-  }
+// How a step checks one column of the tuples it visits.
+enum class ColumnTag : std::uint8_t {
+  kConstant,  // Must equal `constant`; may be the probe column.
+  kBound,     // Must equal slot `slot`, bound before this step; may be
+              // the probe column.
+  kBind,      // Binds slot `slot` (its first occurrence).
+  kRepeat,    // Must equal slot `slot`, bound at an earlier column of this
+              // same atom — so never the probe column.
+};
 
-  // OK when enumeration ran to completion (or the callback stopped it —
-  // that is the caller's choice, not an error); non-OK when it was
-  // aborted by an arity mismatch, the cancel scope, or a fault.
-  Status Run() {
-    Descend(0);
-    return status_;
+struct Column {
+  ColumnTag tag = ColumnTag::kConstant;
+  int slot = -1;
+  Value constant;
+};
+
+// The value a constant or slot column stands for under `slots`.
+Value Resolve(const Column& column, const Value* slots) {
+  return column.tag == ColumnTag::kConstant ? column.constant
+                                            : slots[column.slot];
+}
+
+struct Step {
+  const Relation* relation = nullptr;  // nullptr: no tuples.
+  std::size_t first_column = 0;        // Into Plan::columns.
+  int arity = 0;
+};
+
+// A compiled CQ body: steps in execution order over dense variable slots.
+// Its storage comes from the caller's PlanMemory.
+struct Plan {
+  explicit Plan(std::pmr::memory_resource* memory)
+      : variables(memory), steps(memory), columns(memory) {}
+
+  std::pmr::vector<VariableId> variables;  // Slot -> variable.
+  std::pmr::vector<Step> steps;
+  std::pmr::vector<Column> columns;  // Every step's columns, back to back.
+
+  // The slot of `v`, or -1 when it does not occur in the body.
+  int SlotOf(VariableId v) const {
+    auto it = std::find(variables.begin(), variables.end(), v);
+    return it == variables.end() ? -1
+                                 : static_cast<int>(it - variables.begin());
   }
+};
+
+// Stack storage for one call's plan, slots and compile scratch, so that
+// compiling per execution costs no heap allocation for ordinary bodies;
+// larger ones spill to the heap.
+class PlanMemory : public std::pmr::monotonic_buffer_resource {
+ public:
+  PlanMemory() : monotonic_buffer_resource(buffer_, sizeof(buffer_)) {}
 
  private:
-  int CountBound(const Atom& atom) const {
-    int bound = 0;
+  alignas(std::max_align_t) std::byte buffer_[2048];
+};
+
+// Compiles `atoms` against `db`, with the slots in `initial` bound before
+// the first step. The atom order is greedy: the atom with the most bound
+// positions (constants and bound variables, counted per position) goes
+// next, ties to the smaller relation, then to the earlier atom.
+StatusOr<Plan> CompilePlan(const std::vector<Atom>& atoms, const Database& db,
+                           std::span<const SlotBinding> initial,
+                           PlanMemory* memory) {
+  Plan plan(memory);
+  const std::size_t n = atoms.size();
+  std::size_t num_terms = 0;
+  for (const Atom& atom : atoms) num_terms += atom.terms().size();
+  plan.variables.reserve(num_terms);
+  std::pmr::vector<const Relation*> relations(memory);
+  relations.reserve(n);
+  // The slot of every term (-1 for constants), atom after atom.
+  std::pmr::vector<int> term_slots(memory);
+  term_slots.reserve(num_terms);
+  std::pmr::vector<std::size_t> first_term(memory);
+  first_term.reserve(n + 1);
+  for (const Atom& atom : atoms) {
+    first_term.push_back(term_slots.size());
     for (Term t : atom.terms()) {
-      if (t.is_constant() || binding_.count(t.id()) > 0) ++bound;
+      int slot = -1;
+      if (t.is_variable()) {
+        slot = plan.SlotOf(t.id());
+        if (slot < 0) {
+          slot = static_cast<int>(plan.variables.size());
+          plan.variables.push_back(t.id());
+        }
+      }
+      term_slots.push_back(slot);
     }
-    return bound;
+    // A missing relation means no tuples (the predicate is simply empty
+    // in this instance). An arity mismatch, by contrast, is a vocabulary
+    // bug upstream — silently returning zero matches would mask it.
+    const Relation* relation =
+        relations.emplace_back(db.Find(atom.predicate()));
+    if (relation != nullptr && relation->arity() != atom.arity()) {
+      return InvalidArgumentError(
+          StrCat("arity mismatch for predicate #", atom.predicate(),
+                 ": relation has arity ", relation->arity(),
+                 " but the query atom has arity ", atom.arity()));
+    }
+  }
+  first_term.push_back(term_slots.size());
+  const auto slots_of = [&](std::size_t i) {
+    return std::span<const int>(term_slots.data() + first_term[i],
+                                first_term[i + 1] - first_term[i]);
+  };
+  const std::size_t num_slots = plan.variables.size();
+
+  // One state per slot, then one "used" flag per atom.
+  enum State : std::uint8_t { kFree, kBoundBefore, kBoundHere };
+  std::pmr::vector<std::uint8_t> flags(num_slots + n, kFree, memory);
+  std::uint8_t* state = flags.data();
+  std::uint8_t* used = flags.data() + num_slots;
+  for (const SlotBinding& binding : initial) {
+    if (binding.slot < 0 || binding.slot >= static_cast<int>(num_slots)) {
+      return InvalidArgumentError(StrCat("initial slot ", binding.slot,
+                                         " out of range: the atoms have ",
+                                         num_slots, " variables"));
+    }
+    state[binding.slot] = kBoundBefore;
   }
 
-  // Picks the next unused atom index to match.
-  int PickNext() const {
-    int best = -1;
+  plan.steps.reserve(n);
+  plan.columns.reserve(num_terms);
+  for (std::size_t step = 0; step < n; ++step) {
+    std::size_t best = n;
     int best_bound = -1;
     long best_size = 0;
-    for (std::size_t i = 0; i < atoms_.size(); ++i) {
-      if (used_[i]) continue;
-      const Relation* relation = db_.Find(atoms_[i].predicate());
-      long size = relation == nullptr ? 0 : relation->size();
-      int bound = CountBound(atoms_[i]);
-      if (best == -1 || bound > best_bound ||
+    for (std::size_t i = 0; i < n; ++i) {
+      if (used[i]) continue;
+      int bound = 0;
+      for (int slot : slots_of(i)) {
+        if (slot < 0 || state[slot] == kBoundBefore) ++bound;
+      }
+      const long size = relations[i] == nullptr ? 0 : relations[i]->size();
+      if (best == n || bound > best_bound ||
           (bound == best_bound && size < best_size)) {
-        best = static_cast<int>(i);
+        best = i;
         best_bound = bound;
         best_size = size;
       }
     }
-    return best;
-  }
+    used[best] = 1;
 
-  // Resolves an atom term to a concrete value if bound.
-  bool ResolveTerm(Term t, Value* out) const {
-    if (t.is_constant()) {
-      *out = Value::Constant(t.id());
-      return true;
+    const Atom& atom = atoms[best];
+    plan.steps.push_back(
+        Step{relations[best], plan.columns.size(), atom.arity()});
+    for (int c = 0; c < atom.arity(); ++c) {
+      const int slot = slots_of(best)[static_cast<std::size_t>(c)];
+      if (slot < 0) {
+        plan.columns.push_back(Column{ColumnTag::kConstant, -1,
+                                      Value::Constant(atom.term(c).id())});
+        continue;
+      }
+      std::uint8_t& s = state[slot];
+      ColumnTag tag = ColumnTag::kBind;
+      if (s == kBoundBefore) {
+        tag = ColumnTag::kBound;
+      } else if (s == kBoundHere) {
+        tag = ColumnTag::kRepeat;
+      } else {
+        s = kBoundHere;
+      }
+      plan.columns.push_back(Column{tag, slot, Value()});
     }
-    auto it = binding_.find(t.id());
-    if (it == binding_.end()) return false;
-    *out = it->second;
-    return true;
+    for (int slot : slots_of(best)) {
+      if (slot >= 0) state[slot] = kBoundBefore;
+    }
+  }
+  return plan;
+}
+
+// Runs a plan over a slot array, calling `emit(slots)` on every complete
+// match; emit returns false to stop.
+template <typename Emit>
+class Runner {
+ public:
+  Runner(const Plan& plan, Value* slots, const CancelScope& cancel,
+         Emit& emit)
+      : plan_(plan), slots_(slots), cancel_(cancel), emit_(emit) {}
+
+  // OK when enumeration ran to completion (or emit stopped it — that is
+  // the caller's choice, not an error); non-OK when the cancel scope or a
+  // fault aborted it. Counters go to *stats either way.
+  Status Run(EvalStats* stats) {
+    Descend(0);
+    if (stats != nullptr) {
+      stats->tuples_examined += examined_;
+      stats->matches += matches_;
+    }
+    return std::move(status_);
   }
 
+ private:
   // Per-tuple interruption check: the "eval.scan" fault point fires on
   // every examined tuple; the cancel scope (a clock read) is only
   // consulted every kCancelCheckStride tuples.
@@ -95,197 +229,200 @@ class Matcher {
   }
 
   bool Descend(std::size_t depth) {
-    if (depth == atoms_.size()) {
-      if (stats_ != nullptr) ++stats_->matches;
-      return callback_(binding_);
+    if (depth == plan_.steps.size()) {
+      ++matches_;
+      return emit_(static_cast<const Value*>(slots_));
     }
+    const Step& step = plan_.steps[depth];
+    if (step.relation == nullptr) return true;
+    const Column* columns = plan_.columns.data() + step.first_column;
 
-    int index = PickNext();
-    OREW_CHECK(index >= 0);
-    const Atom& atom = atoms_[static_cast<std::size_t>(index)];
-    used_[static_cast<std::size_t>(index)] = true;
-
-    bool keep_going = true;
-    const Relation* relation = db_.Find(atom.predicate());
-    // A missing relation means no tuples (the predicate is simply empty in
-    // this instance). An *arity mismatch*, by contrast, is a vocabulary
-    // bug upstream — silently returning zero matches would mask it, so it
-    // aborts enumeration with an error status.
-    if (relation != nullptr && relation->arity() != atom.arity()) {
-      status_ = InvalidArgumentError(
-          StrCat("arity mismatch for predicate #", atom.predicate(),
-                 ": relation has arity ", relation->arity(),
-                 " but the query atom has arity ", atom.arity()));
-      used_[static_cast<std::size_t>(index)] = false;
-      return false;
-    }
-    if (relation != nullptr) {
-      // Choose the bound column with the smallest posting list, if any.
-      int best_column = -1;
-      std::size_t best_postings = 0;
-      Value best_value;
-      for (int c = 0; c < atom.arity(); ++c) {
-        Value value;
-        if (!ResolveTerm(atom.term(c), &value)) continue;
-        const std::vector<int>& postings = relation->TuplesWith(c, value);
-        if (best_column == -1 || postings.size() < best_postings) {
-          best_column = c;
-          best_postings = postings.size();
-          best_value = value;
-        }
+    // Probe the constant or earlier-bound column with the smallest
+    // posting list; scan when there is none.
+    const std::vector<int>* postings = nullptr;
+    for (int c = 0; c < step.arity; ++c) {
+      const Column& column = columns[c];
+      if (column.tag != ColumnTag::kConstant &&
+          column.tag != ColumnTag::kBound) {
+        continue;
       }
-
-      auto try_tuple = [&](const Tuple& tuple) {
-        if (stats_ != nullptr) ++stats_->tuples_examined;
-        if (Interrupted()) {
-          keep_going = false;
-          return;
-        }
-        std::vector<VariableId> newly_bound;
-        bool consistent = true;
-        for (int c = 0; c < atom.arity(); ++c) {
-          Term t = atom.term(c);
-          Value cell = tuple[static_cast<std::size_t>(c)];
-          if (t.is_constant()) {
-            if (Value::Constant(t.id()) != cell) {
-              consistent = false;
-              break;
-            }
-            continue;
-          }
-          auto it = binding_.find(t.id());
-          if (it != binding_.end()) {
-            if (it->second != cell) {
-              consistent = false;
-              break;
-            }
-          } else {
-            binding_.emplace(t.id(), cell);
-            newly_bound.push_back(t.id());
-          }
-        }
-        if (consistent && !Descend(depth + 1)) keep_going = false;
-        for (VariableId v : newly_bound) binding_.erase(v);
-      };
-
-      if (best_column >= 0) {
-        for (int tuple_index : relation->TuplesWith(best_column, best_value)) {
-          if (!keep_going) break;
-          try_tuple(relation->tuples()[static_cast<std::size_t>(tuple_index)]);
-        }
-      } else {
-        for (const Tuple& tuple : relation->tuples()) {
-          if (!keep_going) break;
-          try_tuple(tuple);
+      const std::vector<int>& candidate =
+          step.relation->TuplesWith(c, Resolve(column, slots_));
+      if (postings == nullptr || candidate.size() < postings->size()) {
+        postings = &candidate;
+      }
+    }
+    const std::vector<Tuple>& tuples = step.relation->tuples();
+    if (postings == nullptr) {
+      for (const Tuple& tuple : tuples) {
+        if (!Visit(depth, step, columns, tuple)) return false;
+      }
+    } else {
+      for (int index : *postings) {
+        if (!Visit(depth, step, columns,
+                   tuples[static_cast<std::size_t>(index)])) {
+          return false;
         }
       }
     }
-    // Missing relation: no matches for this atom.
-
-    used_[static_cast<std::size_t>(index)] = false;
-    return keep_going;
+    return true;
   }
 
-  const std::vector<Atom>& atoms_;
-  const Database& db_;
-  const std::function<bool(const Binding&)>& callback_;
-  EvalStats* stats_;
+  // Checks one tuple against the step's columns, binds its new slots and
+  // descends. False stops the whole enumeration.
+  bool Visit(std::size_t depth, const Step& step, const Column* columns,
+             const Tuple& tuple) {
+    ++examined_;
+    if (Interrupted()) return false;
+    for (int c = 0; c < step.arity; ++c) {
+      const Column& column = columns[c];
+      const Value cell = tuple[static_cast<std::size_t>(c)];
+      switch (column.tag) {
+        case ColumnTag::kConstant:
+          if (cell != column.constant) return true;
+          break;
+        case ColumnTag::kBound:
+        case ColumnTag::kRepeat:
+          if (cell != slots_[static_cast<std::size_t>(column.slot)]) {
+            return true;
+          }
+          break;
+        case ColumnTag::kBind:
+          slots_[static_cast<std::size_t>(column.slot)] = cell;
+          break;
+      }
+    }
+    return Descend(depth + 1);
+  }
+
+  const Plan& plan_;
+  Value* slots_;
   const CancelScope& cancel_;
+  Emit& emit_;
   int since_check_ = 0;
+  long long examined_ = 0;
+  long long matches_ = 0;
   Status status_;  // Non-OK once enumeration was aborted.
-  std::vector<bool> used_;
-  Binding binding_;
 };
+
+template <typename Emit>
+Status RunPlan(const Plan& plan, Value* slots, const CancelScope& cancel,
+               EvalStats* stats, Emit emit) {
+  return Runner<Emit>(plan, slots, cancel, emit).Run(stats);
+}
 
 }  // namespace
 
 Status ForEachMatch(const std::vector<Atom>& atoms, const Database& db,
-                    const std::function<bool(const Binding&)>& callback) {
-  return ForEachMatch(atoms, db, Binding(), callback, nullptr, CancelScope());
+                    std::span<const SlotBinding> initial,
+                    const CancelScope& cancel, EvalStats* stats,
+                    const std::function<bool(SlotView)>& callback) {
+  PlanMemory memory;
+  OREW_ASSIGN_OR_RETURN(Plan plan, CompilePlan(atoms, db, initial, &memory));
+  std::pmr::vector<Value> slots(plan.variables.size(), &memory);
+  for (const SlotBinding& binding : initial) {
+    slots[static_cast<std::size_t>(binding.slot)] = binding.value;
+  }
+  return RunPlan(plan, slots.data(), cancel, stats,
+                 [&callback, size = slots.size()](const Value* values) {
+                   return callback(SlotView(values, size));
+                 });
 }
 
-Status ForEachMatch(const std::vector<Atom>& atoms, const Database& db,
-                    const Binding& initial,
-                    const std::function<bool(const Binding&)>& callback) {
-  return ForEachMatch(atoms, db, initial, callback, nullptr, CancelScope());
+void RowBuffer::Append(RowBuffer&& other) {
+  OREW_CHECK(other.width_ == width_);
+  values_.insert(values_.end(), other.values_.begin(), other.values_.end());
+  rows_ += other.rows_;
+  other.values_.clear();
+  other.rows_ = 0;
 }
 
-Status ForEachMatch(const std::vector<Atom>& atoms, const Database& db,
-                    const Binding& initial,
-                    const std::function<bool(const Binding&)>& callback,
-                    EvalStats* stats) {
-  return ForEachMatch(atoms, db, initial, callback, stats, CancelScope());
-}
-
-Status ForEachMatch(const std::vector<Atom>& atoms, const Database& db,
-                    const Binding& initial,
-                    const std::function<bool(const Binding&)>& callback,
-                    EvalStats* stats, const CancelScope& cancel) {
-  return Matcher(atoms, db, initial, callback, stats, cancel).Run();
-}
-
-bool HasMatch(const std::vector<Atom>& atoms, const Database& db) {
-  return HasMatch(atoms, db, Binding());
-}
-
-bool HasMatch(const std::vector<Atom>& atoms, const Database& db,
-              const Binding& initial) {
-  bool found = false;
-  Status status = ForEachMatch(atoms, db, initial, [&found](const Binding&) {
-    found = true;
-    return false;  // Stop at the first match.
+std::vector<Tuple> RowBuffer::SortedUnique() const {
+  if (width_ == 0) {
+    return rows_ == 0 ? std::vector<Tuple>() : std::vector<Tuple>{Tuple()};
+  }
+  const std::size_t width = static_cast<std::size_t>(width_);
+  const auto row = [this, width](std::size_t i) {
+    return values_.begin() + static_cast<std::ptrdiff_t>(i * width);
+  };
+  std::vector<std::size_t> order(rows_);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return std::lexicographical_compare(row(a), row(a + 1), row(b),
+                                        row(b + 1));
   });
-  // HasMatch has no error channel; schema bugs stay loud.
-  OREW_CHECK(status.ok()) << status;
-  return found;
+  order.erase(std::unique(order.begin(), order.end(),
+                          [&](std::size_t a, std::size_t b) {
+                            return std::equal(row(a), row(a + 1), row(b));
+                          }),
+              order.end());
+  std::vector<Tuple> result;
+  result.reserve(order.size());
+  for (std::size_t i : order) result.emplace_back(row(i), row(i + 1));
+  return result;
+}
+
+Status EvaluateInto(const ConjunctiveQuery& cq, const Database& db,
+                    const EvalOptions& options, EvalStats* stats,
+                    RowBuffer* rows) {
+  if (cq.arity() != rows->width()) {
+    return InvalidArgumentError(StrCat("answer arity ", cq.arity(),
+                                       " differs from the union's arity ",
+                                       rows->width()));
+  }
+  PlanMemory memory;
+  OREW_ASSIGN_OR_RETURN(Plan plan, CompilePlan(cq.body(), db, {}, &memory));
+  // Answer terms as columns: constants, or the slots that hold them.
+  std::pmr::vector<Column> answer(&memory);
+  answer.reserve(cq.answer_terms().size());
+  for (Term t : cq.answer_terms()) {
+    if (t.is_constant()) {
+      answer.push_back(
+          Column{ColumnTag::kConstant, -1, Value::Constant(t.id())});
+      continue;
+    }
+    const int slot = plan.SlotOf(t.id());
+    if (slot < 0) {
+      return InvalidArgumentError(StrCat(
+          "answer variable ", t.id(), " does not occur in the body"));
+    }
+    answer.push_back(Column{ColumnTag::kBound, slot, Value()});
+  }
+  const bool drop_nulls = options.drop_tuples_with_nulls;
+  std::pmr::vector<Value> slots(plan.variables.size(), &memory);
+  return RunPlan(plan, slots.data(), options.cancel, stats,
+                 [&](const Value* values) {
+                   if (drop_nulls) {
+                     for (const Column& column : answer) {
+                       if (Resolve(column, values).is_null()) return true;
+                     }
+                   }
+                   Value* row = rows->AddRow();
+                   for (const Column& column : answer) {
+                     *row++ = Resolve(column, values);
+                   }
+                   return true;
+                 });
 }
 
 StatusOr<std::vector<Tuple>> TryEvaluate(const ConjunctiveQuery& cq,
                                          const Database& db,
                                          const EvalOptions& options,
                                          EvalStats* stats) {
-  std::set<Tuple> answers;
-  OREW_RETURN_IF_ERROR(ForEachMatch(
-      cq.body(), db, Binding(),
-      [&](const Binding& binding) {
-        Tuple answer;
-        answer.reserve(cq.answer_terms().size());
-        bool has_null = false;
-        for (Term t : cq.answer_terms()) {
-          Value value;
-          if (t.is_constant()) {
-            value = Value::Constant(t.id());
-          } else {
-            auto it = binding.find(t.id());
-            OREW_CHECK(it != binding.end())
-                << "answer variable " << t.id() << " unbound — invalid CQ";
-            value = it->second;
-          }
-          if (value.is_null()) has_null = true;
-          answer.push_back(value);
-        }
-        if (!options.drop_tuples_with_nulls || !has_null) {
-          answers.insert(std::move(answer));
-        }
-        return true;
-      },
-      stats, options.cancel));
-  return std::vector<Tuple>(answers.begin(), answers.end());
+  RowBuffer rows(cq.arity());
+  OREW_RETURN_IF_ERROR(EvaluateInto(cq, db, options, stats, &rows));
+  return rows.SortedUnique();
 }
 
 StatusOr<std::vector<Tuple>> TryEvaluate(const UnionOfCqs& ucq,
                                          const Database& db,
                                          const EvalOptions& options,
                                          EvalStats* stats) {
-  std::set<Tuple> answers;
+  RowBuffer rows(ucq.disjuncts().empty() ? 0 : ucq.disjuncts()[0].arity());
   for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
-    OREW_ASSIGN_OR_RETURN(std::vector<Tuple> tuples,
-                          TryEvaluate(cq, db, options, stats));
-    for (Tuple& tuple : tuples) {
-      answers.insert(std::move(tuple));
-    }
+    OREW_RETURN_IF_ERROR(EvaluateInto(cq, db, options, stats, &rows));
   }
-  return std::vector<Tuple>(answers.begin(), answers.end());
+  return rows.SortedUnique();
 }
 
 std::vector<Tuple> Evaluate(const ConjunctiveQuery& cq, const Database& db,

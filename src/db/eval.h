@@ -1,8 +1,9 @@
 #ifndef ONTOREW_DB_EVAL_H_
 #define ONTOREW_DB_EVAL_H_
 
+#include <cstddef>
 #include <functional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "base/deadline.h"
@@ -12,23 +13,34 @@
 #include "logic/atom.h"
 #include "logic/query.h"
 
-// Conjunctive-query evaluation over a Database: index-nested-loop joins
-// with greedy bound-first atom ordering. This is the query processor the
-// FO rewriting is handed to (the paper's AC0 / "plain SQL" stage), and the
-// homomorphism finder the chase uses to locate triggers.
+// Conjunctive-query evaluation over a Database. This is the query
+// processor the FO rewriting is handed to (the paper's AC0 / "plain SQL"
+// stage), and the homomorphism finder the chase uses to locate triggers
+// and check trigger heads.
 //
-// Evaluation is cooperatively cancellable: EvalOptions carries a
-// CancelScope checked every kCancelCheckStride tuples, and every examined
-// tuple passes the "eval.scan" fault point. The fallible entry points
-// (TryEvaluate, the Status-returning ForEachMatch) surface interruptions
-// and schema bugs (arity mismatches) as Status; the legacy Evaluate
-// wrappers OREW_CHECK instead, for callers that pass no deadline and
-// treat failure as a programming error.
+// Every call compiles the body it is given into a plan, then runs it:
+//  * Compiling fixes the atom order greedily (most bound positions
+//    first, ties to the smaller relation, then to the earlier atom),
+//    gives every variable a dense slot, resolves each step's Relation
+//    once, and tags each column as a constant, a slot bound by an earlier
+//    step, a slot bound here, or a repeat of a slot bound earlier in the
+//    same atom. An atom whose arity disagrees with its stored relation is
+//    reported here, as InvalidArgument. Compiling costs O(atoms^2) and is
+//    never cached: a plan holds Relation pointers of one Database.
+//  * Running is an index-nested-loop join over a flat array of slots.
+//    Each step probes the index of its constant or earlier-bound column
+//    with the shortest posting list (never a repeat column) and checks
+//    the other columns per tuple. Answers are written as rows into a
+//    flat RowBuffer and sorted and deduplicated once per UCQ.
+//
+// Evaluation is cooperatively cancellable and all-or-nothing: the cancel
+// scope is checked every kCancelCheckStride examined tuples, every
+// examined tuple passes the "eval.scan" fault point, and an interrupted
+// call returns its Status, never partial answers. Evaluate is the
+// OREW_CHECKing form of TryEvaluate, for callers that pass no deadline
+// and treat failure as a programming error.
 
 namespace ontorew {
-
-// A homomorphism from query variables to database values.
-using Binding = std::unordered_map<VariableId, Value>;
 
 struct EvalOptions {
   // Drop answer tuples containing labeled nulls (certain-answer semantics
@@ -47,46 +59,71 @@ struct EvalStats {
   long long matches = 0;
 };
 
-// Enumerates every homomorphism from `atoms` into `db`. The callback
-// returns false to stop enumeration early (which is not an error).
-// Constants in atoms must match constants in tuples; variables bind
-// consistently across occurrences. Returns non-OK when enumeration was
-// aborted: an arity mismatch between a query atom and its stored relation
-// (InvalidArgument — a vocabulary bug upstream, not an empty result), a
-// tripped deadline/token in `cancel`, or an armed "eval.scan" fault.
-Status ForEachMatch(const std::vector<Atom>& atoms, const Database& db,
-                    const std::function<bool(const Binding&)>& callback);
+// The values of one match of `atoms`: slot i holds the value of
+// DistinctVariables(atoms)[i], the i-th distinct variable in order of
+// first occurrence.
+using SlotView = std::span<const Value>;
 
-// As above, with some variables pre-bound (used by the restricted chase to
-// check whether a trigger's head is already satisfied under the frontier
-// binding).
-Status ForEachMatch(const std::vector<Atom>& atoms, const Database& db,
-                    const Binding& initial,
-                    const std::function<bool(const Binding&)>& callback);
+// A variable bound before the first step: its slot (numbered as above)
+// and its value.
+struct SlotBinding {
+  int slot;
+  Value value;
+};
 
-// As above, also accumulating execution counters into *stats (may be
-// nullptr).
+// Enumerates every homomorphism from `atoms` into `db` that extends
+// `initial`. The callback returns false to stop enumeration early (which
+// is not an error). Constants in atoms must match constants in tuples;
+// variables bind consistently across occurrences. Counters accumulate
+// into *stats (may be nullptr), also on failure. Returns non-OK when
+// enumeration was aborted: an arity mismatch between a query atom and its
+// stored relation or an out-of-range initial slot (InvalidArgument — a
+// bug upstream, not an empty result), a tripped deadline/token in
+// `cancel`, or an armed "eval.scan" fault.
 Status ForEachMatch(const std::vector<Atom>& atoms, const Database& db,
-                    const Binding& initial,
-                    const std::function<bool(const Binding&)>& callback,
-                    EvalStats* stats);
+                    std::span<const SlotBinding> initial,
+                    const CancelScope& cancel, EvalStats* stats,
+                    const std::function<bool(SlotView)>& callback);
 
-// Full form: enumeration under a cancellation scope.
-Status ForEachMatch(const std::vector<Atom>& atoms, const Database& db,
-                    const Binding& initial,
-                    const std::function<bool(const Binding&)>& callback,
-                    EvalStats* stats, const CancelScope& cancel);
+// Answer rows of one width, stored back to back.
+class RowBuffer {
+ public:
+  explicit RowBuffer(int width) : width_(width) {}
 
-// True iff at least one homomorphism exists (extending `initial`).
-// Arity mismatches are checked failures here (no Status channel).
-bool HasMatch(const std::vector<Atom>& atoms, const Database& db);
-bool HasMatch(const std::vector<Atom>& atoms, const Database& db,
-              const Binding& initial);
+  int width() const { return width_; }
+  std::size_t size() const { return rows_; }
+
+  // Appends one row and returns its width() cells for the caller to fill.
+  Value* AddRow() {
+    values_.resize(values_.size() + static_cast<std::size_t>(width_));
+    ++rows_;
+    return values_.data() + values_.size() - width_;
+  }
+  // Moves every row of `other`, which must have the same width, here.
+  void Append(RowBuffer&& other);
+
+  // The distinct rows in ascending (std::set<Tuple>) order.
+  std::vector<Tuple> SortedUnique() const;
+
+ private:
+  int width_;
+  std::size_t rows_ = 0;
+  std::vector<Value> values_;
+};
+
+// Appends the answers of `cq` over `db` to *rows, whose width must be
+// cq.arity(), with options.drop_tuples_with_nulls applied per row.
+// Duplicates are kept; RowBuffer::SortedUnique removes them. On error
+// *rows may hold some of the answers: callers discard it.
+Status EvaluateInto(const ConjunctiveQuery& cq, const Database& db,
+                    const EvalOptions& options, EvalStats* stats,
+                    RowBuffer* rows);
 
 // All answer tuples, deduplicated and sorted (deterministic output).
-// Errors: InvalidArgument on arity mismatch, DeadlineExceeded/Cancelled
-// when options.cancel trips mid-scan (no partial answers are returned),
-// or an injected "eval.scan" fault.
+// Errors: InvalidArgument on an arity mismatch (atom vs relation, or
+// between the disjuncts of a union) or an answer variable missing from
+// the body, DeadlineExceeded/Cancelled when options.cancel trips mid-scan
+// (no partial answers are returned), or an injected "eval.scan" fault.
 StatusOr<std::vector<Tuple>> TryEvaluate(const ConjunctiveQuery& cq,
                                          const Database& db,
                                          const EvalOptions& options = {},
@@ -96,8 +133,8 @@ StatusOr<std::vector<Tuple>> TryEvaluate(const UnionOfCqs& ucq,
                                          const EvalOptions& options = {},
                                          EvalStats* stats = nullptr);
 
-// Legacy infallible wrappers: OREW_CHECK on any evaluation error. Only
-// safe for callers that pass no deadline/cancel scope.
+// TryEvaluate that OREW_CHECKs on any evaluation error. Only safe for
+// callers that pass no deadline/cancel scope.
 std::vector<Tuple> Evaluate(const ConjunctiveQuery& cq, const Database& db,
                             const EvalOptions& options = {},
                             EvalStats* stats = nullptr);

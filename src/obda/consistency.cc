@@ -1,5 +1,6 @@
 #include "obda/consistency.h"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -63,25 +64,33 @@ StatusOr<ConsistencyReport> CheckConsistency(
     bool violated = false;
     std::string witness;
     for (const ConjunctiveQuery& disjunct : rewriting.ucq.disjuncts()) {
-      ForEachMatch(disjunct.body(), db, [&](const Binding& binding) {
-        violated = true;
-        std::vector<std::string> facts;
-        for (const Atom& atom : disjunct.body()) {
-          std::string fact =
-              StrCat(vocab.PredicateName(atom.predicate()), "(");
-          fact += StrJoin(atom.terms(), ", ",
-                          [&](std::ostream& os, Term t) {
-                            os << (t.is_constant()
-                                       ? ToString(Value::Constant(t.id()),
-                                                  vocab)
-                                       : ToString(binding.at(t.id()), vocab));
-                          });
-          fact += ")";
-          facts.push_back(std::move(fact));
-        }
-        witness = StrJoin(facts, ", ");
-        return false;  // One witness is enough.
-      });
+      const std::vector<VariableId> variables =
+          DistinctVariables(disjunct.body());
+      OREW_RETURN_IF_ERROR(ForEachMatch(
+          disjunct.body(), db, {}, CancelScope(), nullptr,
+          [&](SlotView match) {
+            violated = true;
+            const auto value = [&](Term t) {
+              if (t.is_constant()) return Value::Constant(t.id());
+              const auto slot = std::find(variables.begin(), variables.end(),
+                                          t.id()) -
+                                variables.begin();
+              return match[static_cast<std::size_t>(slot)];
+            };
+            std::vector<std::string> facts;
+            for (const Atom& atom : disjunct.body()) {
+              std::string fact =
+                  StrCat(vocab.PredicateName(atom.predicate()), "(");
+              fact += StrJoin(atom.terms(), ", ",
+                              [&](std::ostream& os, Term t) {
+                                os << ToString(value(t), vocab);
+                              });
+              fact += ")";
+              facts.push_back(std::move(fact));
+            }
+            witness = StrJoin(facts, ", ");
+            return false;  // One witness is enough.
+          }));
       if (violated) break;
     }
     if (violated) {

@@ -44,7 +44,9 @@ struct ConsistencyReport {
 // Checks (program, db) against the denials via rewriting + evaluation.
 // Errors propagate from the rewriting engine (multi-head programs,
 // divergence cap — i.e. when the positive part is not FO-rewritable for
-// the denial's shape).
+// the denial's shape) and from the evaluator (an arity mismatch, an
+// armed "eval.scan" fault): an aborted scan is an error, never a
+// "consistent" report.
 StatusOr<ConsistencyReport> CheckConsistency(
     const TgdProgram& program, const std::vector<DenialConstraint>& denials,
     const Database& db, const Vocabulary& vocab);

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <utility>
 
@@ -42,9 +41,9 @@ StatusOr<std::vector<Tuple>> ParallelEvaluate(const UnionOfCqs& ucq,
 
   // Workers pull disjunct indices from a shared counter (cheap dynamic
   // load balancing: rewritings are skewed, a few disjuncts dominate) and
-  // accumulate into private sets — no shared mutable state until the
-  // deterministic merge below. A pool-local token, chained under the
-  // caller's, short-circuits the siblings of the first failing worker:
+  // append answer rows to private flat buffers — no shared mutable state
+  // until the deterministic merge below. A pool-local token, chained under
+  // the caller's, short-circuits the siblings of the first failing worker:
   // their in-flight scans stop at the next stride check and no further
   // disjuncts are claimed. A traced single-thread call runs the same
   // per-disjunct body, on the calling thread alone, for its spans.
@@ -53,7 +52,9 @@ StatusOr<std::vector<Tuple>> ParallelEvaluate(const UnionOfCqs& ucq,
   worker_eval.cancel = options.eval.cancel.WithToken(trip);
 
   std::atomic<std::size_t> next{0};
-  std::vector<std::set<Tuple>> partial(static_cast<std::size_t>(threads));
+  const int arity = disjuncts.empty() ? 0 : disjuncts[0].arity();
+  std::vector<RowBuffer> partial(static_cast<std::size_t>(threads),
+                                 RowBuffer(arity));
   std::vector<EvalStats> worker_stats(static_cast<std::size_t>(threads));
   // The failure that tripped the pool: the one with the smallest disjunct
   // index, so the reported error is deterministic even when several
@@ -62,7 +63,7 @@ StatusOr<std::vector<Tuple>> ParallelEvaluate(const UnionOfCqs& ucq,
   Status first_error;
   std::size_t first_error_index = disjuncts.size();
   const auto work = [&](int w) {
-    std::set<Tuple>& mine = partial[static_cast<std::size_t>(w)];
+    RowBuffer& mine = partial[static_cast<std::size_t>(w)];
     EvalStats& my_stats = worker_stats[static_cast<std::size_t>(w)];
     for (std::size_t i = next.fetch_add(1); i < disjuncts.size();
          i = next.fetch_add(1)) {
@@ -70,33 +71,31 @@ StatusOr<std::vector<Tuple>> ParallelEvaluate(const UnionOfCqs& ucq,
       TraceSpan span(options.trace, "disjunct");
       span.Attr("disjunct", static_cast<std::int64_t>(i));
       const long long examined_before = my_stats.tuples_examined;
-      StatusOr<std::vector<Tuple>> tuples =
-          TryEvaluate(disjuncts[i], db, worker_eval, &my_stats);
+      const std::size_t rows_before = mine.size();
+      Status status =
+          EvaluateInto(disjuncts[i], db, worker_eval, &my_stats, &mine);
       span.Attr("tuples_examined",
                 static_cast<std::int64_t>(my_stats.tuples_examined -
                                           examined_before));
-      if (!tuples.ok()) {
-        span.AnnotateStatus(tuples.status());
+      if (!status.ok()) {
+        span.AnnotateStatus(status);
         // A Cancelled status caused by the pool-local trip (not by
         // the caller's own token) is collateral from another worker's
         // failure — don't let it shadow the root cause.
         const bool secondary =
-            tuples.status().code() == StatusCode::kCancelled &&
+            status.code() == StatusCode::kCancelled &&
             !options.eval.cancel.cancelled();
         if (!secondary) {
           std::lock_guard<std::mutex> lock(error_mutex);
           if (i < first_error_index) {
             first_error_index = i;
-            first_error = tuples.status();
+            first_error = std::move(status);
           }
         }
         trip->Cancel();
         break;
       }
-      span.Attr("rows", static_cast<std::int64_t>(tuples->size()));
-      for (Tuple& tuple : *tuples) {
-        mine.insert(std::move(tuple));
-      }
+      span.Attr("rows", static_cast<std::int64_t>(mine.size() - rows_before));
     }
   };
   {
@@ -117,11 +116,11 @@ StatusOr<std::vector<Tuple>> ParallelEvaluate(const UnionOfCqs& ucq,
   // finished — still an error, never a silently partial union.
   OREW_RETURN_IF_ERROR(options.eval.cancel.Check("parallel eval"));
 
-  std::set<Tuple> merged;
-  for (std::set<Tuple>& mine : partial) {
-    merged.merge(mine);
+  RowBuffer& merged = partial[0];
+  for (std::size_t w = 1; w < partial.size(); ++w) {
+    merged.Append(std::move(partial[w]));
   }
-  return std::vector<Tuple>(merged.begin(), merged.end());
+  return merged.SortedUnique();
 }
 
 }  // namespace ontorew

@@ -1,7 +1,10 @@
+#include <algorithm>
 #include <vector>
 
+#include "base/fault_point.h"
 #include "chase/chase.h"
 #include "db/eval.h"
+#include "db/facts_io.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "workload/paper_examples.h"
@@ -158,15 +161,51 @@ TEST(ChaseTest, ResultSatisfiesAllTgds) {
   ASSERT_TRUE(result.terminated);
   // Model check: every body homomorphism extends to a head homomorphism.
   for (const Tgd& tgd : ontology.tgds()) {
-    ForEachMatch(tgd.body(), result.db, [&](const Binding& binding) {
-      Binding frontier;
-      for (VariableId v : tgd.DistinguishedVariables()) {
-        frontier.emplace(v, binding.at(v));
-      }
-      EXPECT_TRUE(HasMatch(tgd.head(), result.db, frontier));
-      return true;
-    });
+    const std::vector<VariableId> body = DistinctVariables(tgd.body());
+    const std::vector<VariableId> head = DistinctVariables(tgd.head());
+    Status status = ForEachMatch(
+        tgd.body(), result.db, {}, CancelScope(), nullptr,
+        [&](SlotView match) {
+          std::vector<SlotBinding> frontier;
+          for (std::size_t h = 0; h < head.size(); ++h) {
+            auto it = std::find(body.begin(), body.end(), head[h]);
+            if (it == body.end()) continue;
+            frontier.push_back(
+                {static_cast<int>(h),
+                 match[static_cast<std::size_t>(it - body.begin())]});
+          }
+          bool satisfied = false;
+          Status head_status = ForEachMatch(
+              tgd.head(), result.db, frontier, CancelScope(), nullptr,
+              [&satisfied](SlotView) {
+                satisfied = true;
+                return false;
+              });
+          EXPECT_TRUE(head_status.ok()) << head_status;
+          EXPECT_TRUE(satisfied);
+          return true;
+        });
+    EXPECT_TRUE(status.ok()) << status;
   }
+}
+
+TEST(ChaseTest, HeadCheckFaultSetsStatus) {
+  // The restricted chase's head check is a scan like the trigger search:
+  // a fault there stops the chase with a status instead of aborting the
+  // process. The trigger search examines p(a) (hit 1); the head check
+  // for X = a probes r(a, _) and examines r(a, z) (hit 2), which trips.
+  Vocabulary vocab;
+  TgdProgram program = MustProgram("p(X) -> r(X, Y).", &vocab);
+  StatusOr<Database> db = ParseFacts("p(a).\nr(a, z).\n", &vocab);
+  ASSERT_TRUE(db.ok()) << db.status();
+  FaultPointConfig config;
+  config.after = 1;
+  ScopedFault fault("eval.scan", config);
+  ChaseResult result = RunChase(program, *db);
+  ASSERT_FALSE(result.status.ok());
+  EXPECT_EQ(result.status.code(), StatusCode::kInternal);
+  EXPECT_FALSE(result.terminated);
+  EXPECT_EQ(result.applications, 0);
 }
 
 TEST(ChaseTest, CertainAnswersDropNullTuples) {

@@ -1,6 +1,7 @@
 #include <string>
 #include <vector>
 
+#include "base/fault_point.h"
 #include "db/facts_io.h"
 #include "gtest/gtest.h"
 #include "obda/consistency.h"
@@ -126,6 +127,23 @@ TEST(ConsistencyTest, MultipleDenialsReportedIndividually) {
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->consistent);
   EXPECT_EQ(report->violated, std::vector<int>{1});
+}
+
+TEST(ConsistencyTest, AbortedScanIsAnErrorNotConsistent) {
+  // An evaluator fault mid-scan must surface as an error: reporting the
+  // instance consistent would hide a violation the scan never reached.
+  Vocabulary vocab;
+  TgdProgram program = MustProgram("a(X) -> b(X).", &vocab);
+  StatusOr<std::vector<DenialConstraint>> denials =
+      ParseDenials("!- b(X), c(X).\n", &vocab);
+  ASSERT_TRUE(denials.ok());
+  StatusOr<Database> db = ParseFacts("a(k).\nc(k).\n", &vocab);
+  ASSERT_TRUE(db.ok());
+  ScopedFault fault("eval.scan");
+  StatusOr<ConsistencyReport> report =
+      CheckConsistency(program, *denials, *db, vocab);
+  ASSERT_FALSE(report.ok()) << "consistent=" << report->consistent;
+  EXPECT_EQ(report.status().code(), StatusCode::kInternal);
 }
 
 TEST(DerivationTest, ChainsReadable) {

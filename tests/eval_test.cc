@@ -1,9 +1,12 @@
 #include <algorithm>
+#include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "base/rng.h"
+#include "chase/chase.h"
 #include "db/database.h"
 #include "db/eval.h"
 #include "gtest/gtest.h"
@@ -137,35 +140,147 @@ TEST_F(EvalTest, ConstantAnswerTerm) {
   EXPECT_EQ(ToString(answers[0][0], vocab_), "marker");
 }
 
-TEST_F(EvalTest, HasMatchStopsEarly) {
-  EXPECT_TRUE(HasMatch({MustAtom("edge(X, Y)", &vocab_)}, db_));
-  EXPECT_FALSE(HasMatch({MustAtom("edge(b, a)", &vocab_)}, db_));
+// True iff `atoms` have a match in `db` extending `initial`; the first
+// match stops the enumeration.
+bool AnyMatch(const std::vector<Atom>& atoms, const Database& db,
+              std::span<const SlotBinding> initial = {}) {
+  bool found = false;
+  int calls = 0;
+  Status status = ForEachMatch(atoms, db, initial, CancelScope(), nullptr,
+                               [&](SlotView) {
+                                 found = true;
+                                 ++calls;
+                                 return false;
+                               });
+  EXPECT_TRUE(status.ok()) << status;
+  EXPECT_LE(calls, 1);
+  return found;
 }
 
-TEST_F(EvalTest, HasMatchWithInitialBinding) {
+TEST_F(EvalTest, ForEachMatchStopsEarly) {
+  EXPECT_TRUE(AnyMatch({MustAtom("edge(X, Y)", &vocab_)}, db_));
+  EXPECT_FALSE(AnyMatch({MustAtom("edge(b, a)", &vocab_)}, db_));
+}
+
+TEST_F(EvalTest, ForEachMatchWithInitialBinding) {
+  // Slots follow first occurrence: X is slot 0, Y slot 1.
   Atom atom = MustAtom("edge(X, Y)", &vocab_);
-  Binding initial;
-  initial.emplace(atom.term(0).id(), c_);
-  EXPECT_TRUE(HasMatch({atom}, db_, initial));  // c -> a exists.
-  Binding impossible;
-  impossible.emplace(atom.term(0).id(), b_);
-  impossible.emplace(atom.term(1).id(), a_);
-  EXPECT_FALSE(HasMatch({atom}, db_, impossible));
+  const std::vector<SlotBinding> initial = {{0, c_}};
+  EXPECT_TRUE(AnyMatch({atom}, db_, initial));  // c -> a exists.
+  const std::vector<SlotBinding> impossible = {{0, b_}, {1, a_}};
+  EXPECT_FALSE(AnyMatch({atom}, db_, impossible));
 }
 
-// Reference evaluator: enumerate all assignments brute-force.
+TEST_F(EvalTest, ForEachMatchRejectsOutOfRangeSlot) {
+  const std::vector<SlotBinding> initial = {{2, a_}};
+  Status status =
+      ForEachMatch({MustAtom("edge(X, Y)", &vocab_)}, db_, initial,
+                   CancelScope(), nullptr, [](SlotView) { return true; });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+}
+
+TEST_F(EvalTest, RepeatedVariablesAreCheckedNotProbed) {
+  // A variable repeated inside one atom is bound at its first column and
+  // checked at the others; it is never the index probe, because its slot
+  // holds nothing for this atom until a tuple is read.
+  const PredicateId t = vocab_.MustPredicate("t", 3);
+  db_.Insert(edge_, {b_, b_});
+  db_.Insert(t, {c_, a_, a_});
+  db_.Insert(t, {c_, a_, b_});
+  db_.Insert(t, {c_, b_, b_});
+  db_.Insert(t, {a_, c_, c_});
+  db_.Insert(t, {b_, a_, a_});
+  db_.Insert(t, {b_, a_, c_});
+
+  EXPECT_EQ(Evaluate(MustQuery("q(X) :- edge(X, X).", &vocab_), db_),
+            (std::vector<Tuple>{{b_}}));
+  EXPECT_EQ(Evaluate(MustQuery("q(X) :- t(c, X, X).", &vocab_), db_),
+            (std::vector<Tuple>{{a_}, {b_}}));
+  // Z is bound by the edge step, Y is bound at t's second column and
+  // repeated at its third.
+  EXPECT_EQ(
+      Evaluate(MustQuery("q(X, Y) :- edge(X, Z), t(Z, Y, Y).", &vocab_), db_),
+      (std::vector<Tuple>{{a_, a_}, {b_, a_}, {b_, b_}, {c_, c_}}));
+  // The same repeat under a pre-bound slot: Z = c (slot 0 of t(Z, Y, Y)).
+  const std::vector<SlotBinding> z_is_c = {{0, c_}};
+  std::vector<Tuple> ys;
+  ASSERT_TRUE(ForEachMatch({MustAtom("t(Z, Y, Y)", &vocab_)}, db_, z_is_c,
+                           CancelScope(), nullptr,
+                           [&ys](SlotView match) {
+                             ys.push_back({match[1]});
+                             return true;
+                           })
+                  .ok());
+  std::sort(ys.begin(), ys.end());
+  EXPECT_EQ(ys, (std::vector<Tuple>{{a_}, {b_}}));
+}
+
+TEST_F(EvalTest, ArityMismatchAfterEmptyRelationIsReported) {
+  // The empty relation goes first (no bound positions either way, and it
+  // is the smaller one), so no tuple ever reaches the mismatched atom —
+  // the plan compiler still reports it.
+  const PredicateId empty = vocab_.MustPredicate("empty", 1);
+  db_.GetOrCreate(empty, 1);
+  const Term x = Term::Var(vocab_.InternVariable("X"));
+  Atom unary_edge(edge_, {x});
+  ConjunctiveQuery cq(std::vector<Term>{x}, {Atom(empty, {x}), unary_edge});
+  StatusOr<std::vector<Tuple>> answers = TryEvaluate(cq, db_);
+  ASSERT_FALSE(answers.ok());
+  EXPECT_EQ(answers.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(answers.status().message().find("arity mismatch"),
+            std::string::npos)
+      << answers.status();
+  EXPECT_FALSE(ForEachMatch(cq.body(), db_, {}, CancelScope(), nullptr,
+                            [](SlotView) { return true; })
+                   .ok());
+}
+
+TEST_F(EvalTest, ZeroAryUnionAnswersEmptyTupleOrNothing) {
+  UnionOfCqs yes;
+  yes.Add(MustQuery("q() :- edge(X, Y).", &vocab_));  // Three matches.
+  yes.Add(MustQuery("q() :- label(c).", &vocab_));    // None.
+  EvalStats stats;
+  StatusOr<std::vector<Tuple>> answers = TryEvaluate(yes, db_, {}, &stats);
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  EXPECT_EQ(*answers, std::vector<Tuple>{Tuple()});
+  EXPECT_EQ(stats.matches, 3);
+
+  UnionOfCqs no;
+  no.Add(MustQuery("q() :- edge(b, a).", &vocab_));
+  no.Add(MustQuery("q() :- label(a).", &vocab_));
+  answers = TryEvaluate(no, db_);
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  EXPECT_TRUE(answers->empty());
+}
+
+TEST_F(EvalTest, MixedArityUnionIsInvalid) {
+  UnionOfCqs ucq;
+  ucq.Add(MustQuery("q(X) :- label(X).", &vocab_));
+  ucq.Add(MustQuery("q(X, Y) :- edge(X, Y).", &vocab_));
+  StatusOr<std::vector<Tuple>> answers = TryEvaluate(ucq, db_);
+  ASSERT_FALSE(answers.ok());
+  EXPECT_EQ(answers.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Reference evaluator: enumerate all assignments of `domain` values to the
+// body variables brute-force, keeping those that agree with `fixed`.
 std::set<Tuple> BruteForce(const ConjunctiveQuery& cq, const Database& db,
-                           const std::vector<Value>& domain) {
+                           const std::vector<Value>& domain,
+                           const std::map<VariableId, Value>& fixed = {}) {
   std::vector<VariableId> vars = DistinctVariables(cq.body());
   std::set<Tuple> result;
   std::vector<std::size_t> choice(vars.size(), 0);
   while (true) {
-    Binding binding;
+    std::map<VariableId, Value> binding;
     for (std::size_t i = 0; i < vars.size(); ++i) {
       binding.emplace(vars[i], domain[choice[i]]);
     }
     bool holds = true;
+    for (const auto& [v, value] : fixed) {
+      if (binding.at(v) != value) holds = false;
+    }
     for (const Atom& atom : cq.body()) {
+      if (!holds) break;
       const Relation* relation = db.Find(atom.predicate());
       Tuple tuple;
       for (Term t : atom.terms()) {
@@ -174,7 +289,6 @@ std::set<Tuple> BruteForce(const ConjunctiveQuery& cq, const Database& db,
       }
       if (relation == nullptr || !relation->Contains(tuple)) {
         holds = false;
-        break;
       }
     }
     if (holds) {
@@ -194,6 +308,31 @@ std::set<Tuple> BruteForce(const ConjunctiveQuery& cq, const Database& db,
     if (pos == vars.size()) break;
     if (vars.empty()) break;
   }
+  return result;
+}
+
+// The answers of `cq` over `db` whose slot 0 is pre-bound to `value`,
+// read off ForEachMatch's slot views.
+std::set<Tuple> MatchesWithSlot0(const ConjunctiveQuery& cq,
+                                 const Database& db, Value value) {
+  const std::vector<VariableId> vars = DistinctVariables(cq.body());
+  const std::vector<SlotBinding> initial = {{0, value}};
+  std::set<Tuple> result;
+  Status status = ForEachMatch(
+      cq.body(), db, initial, CancelScope(), nullptr, [&](SlotView match) {
+        Tuple answer;
+        for (Term t : cq.answer_terms()) {
+          if (t.is_constant()) {
+            answer.push_back(Value::Constant(t.id()));
+            continue;
+          }
+          auto it = std::find(vars.begin(), vars.end(), t.id());
+          answer.push_back(match[static_cast<std::size_t>(it - vars.begin())]);
+        }
+        result.insert(answer);
+        return true;
+      });
+  EXPECT_TRUE(status.ok()) << status;
   return result;
 }
 
@@ -222,6 +361,47 @@ TEST_P(EvalPropertyTest, AgreesWithBruteForce) {
     std::set<Tuple> slow = BruteForce(cq, db, domain);
     EXPECT_EQ(std::set<Tuple>(fast.begin(), fast.end()), slow)
         << "round " << round;
+    // A pre-bound initial assignment restricts the first variable.
+    const std::vector<VariableId> vars = DistinctVariables(cq.body());
+    if (vars.empty()) continue;
+    for (Value value : domain) {
+      EXPECT_EQ(MatchesWithSlot0(cq, db, value),
+                BruteForce(cq, db, domain, {{vars[0], value}}))
+          << "round " << round;
+    }
+  }
+
+  // A chased instance: the existential rule invents labeled nulls, which
+  // join like any value and are dropped from answers on request.
+  TgdProgram existential = MustProgram(
+      "r(X, Y) -> s(X).\n"
+      "s(X), t(X, Y, Z) -> r(X, Y).\n"
+      "s(X) -> t(X, Y, Y).\n",
+      &vocab);
+  ChaseResult chased = RunChase(existential, db);
+  ASSERT_TRUE(chased.terminated);
+  ASSERT_TRUE(chased.status.ok()) << chased.status;
+  EXPECT_GT(chased.db.num_nulls(), 0);
+  std::vector<Value> values = domain;
+  for (std::int32_t n = 0; n < chased.db.num_nulls(); ++n) {
+    values.push_back(Value::Null(n));
+  }
+  EvalOptions drop;
+  drop.drop_tuples_with_nulls = true;
+  for (int round = 0; round < 10; ++round) {
+    ConjunctiveQuery cq = RandomCq(existential, rng.UniformIn(1, 2),
+                                   rng.UniformIn(0, 2), &rng, &vocab);
+    std::set<Tuple> slow = BruteForce(cq, chased.db, values);
+    std::vector<Tuple> all = Evaluate(cq, chased.db);
+    EXPECT_EQ(std::set<Tuple>(all.begin(), all.end()), slow)
+        << "chased round " << round;
+    std::erase_if(slow, [](const Tuple& tuple) {
+      return std::any_of(tuple.begin(), tuple.end(),
+                         [](Value v) { return v.is_null(); });
+    });
+    std::vector<Tuple> certain = Evaluate(cq, chased.db, drop);
+    EXPECT_EQ(std::set<Tuple>(certain.begin(), certain.end()), slow)
+        << "chased round " << round;
   }
 }
 
