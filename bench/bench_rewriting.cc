@@ -9,7 +9,7 @@
 //   bench_rewriting [benchmark flags]   google-benchmark microbenchmarks
 //   bench_rewriting --json [--out=F] [--trace]
 //                                       machine-readable perf harness —
-//     runs each named workload at threads 1 and 4, reports best-of-3
+//     runs each named workload once per pass, reports best-of-3
 //     wall time split into saturate_ms / factor_ms / emit_ms phases,
 //     steps/sec, saturation counters and the compiled-SQL size under
 //     both rewrite targets (flat UNION vs factored WITH-CTE), plus two
@@ -446,10 +446,9 @@ void AppendDagBlowupRow(std::string* json, bool* first) {
 // harness untraced against the checked-in baseline (the "disabled
 // tracing is free" contract) and traced with a looser ratio.
 int RunJsonHarness(const std::string& out_path, bool traced) {
-  // hw_threads lets check_bench.py judge the parallel rows: a speedup
-  // gate is meaningless when the host cannot physically run the
-  // requested workers (threads_used per row records the post-clamp pool
-  // size the saturation actually used).
+  // hw_threads records the host next to its timings. The saturation is
+  // single-threaded, so every row reports threads 1; the key stays so the
+  // schema (and the baseline's row keys) stay unchanged.
   const unsigned hw = std::thread::hardware_concurrency();
   std::string json = "{\n  \"schema\": \"ontorew-bench-rewrite/1\",\n"
                      "  \"hw_threads\": " +
@@ -457,58 +456,51 @@ int RunJsonHarness(const std::string& out_path, bool traced) {
                      ",\n  \"results\": [\n";
   bool first = true;
   for (JsonWorkload& workload : BuildJsonWorkloads()) {
-    for (int threads : {1, 4}) {
-      RewriterOptions options = workload.options;
-      options.threads = threads;
-      double best_ms = 0.0;
-      RewriteResult measured;
-      constexpr int kRuns = 3;
-      for (int run = 0; run < kRuns; ++run) {
-        Trace trace;
-        if (traced) options.trace = TraceContext(&trace);
-        const auto start = std::chrono::steady_clock::now();
-        StatusOr<RewriteResult> result =
-            RewriteCq(workload.query, workload.program, options);
-        const auto stop = std::chrono::steady_clock::now();
-        OREW_CHECK(result.ok())
-            << workload.name << " threads=" << threads << ": "
-            << result.status();
-        OREW_CHECK(!traced || trace.size() > 0);
-        const double ms =
-            std::chrono::duration<double, std::milli>(stop - start).count();
-        if (run == 0 || ms < best_ms) {
-          best_ms = ms;
-          measured = *std::move(result);
-        }
+    RewriterOptions options = workload.options;
+    double best_ms = 0.0;
+    RewriteResult measured;
+    constexpr int kRuns = 3;
+    for (int run = 0; run < kRuns; ++run) {
+      Trace trace;
+      if (traced) options.trace = TraceContext(&trace);
+      const auto start = std::chrono::steady_clock::now();
+      StatusOr<RewriteResult> result =
+          RewriteCq(workload.query, workload.program, options);
+      const auto stop = std::chrono::steady_clock::now();
+      OREW_CHECK(result.ok()) << workload.name << ": " << result.status();
+      OREW_CHECK(!traced || trace.size() > 0);
+      const double ms =
+          std::chrono::duration<double, std::milli>(stop - start).count();
+      if (run == 0 || ms < best_ms) {
+        best_ms = ms;
+        measured = *std::move(result);
       }
-      const double steps_per_sec =
-          best_ms > 0.0 ? measured.steps / (best_ms / 1000.0) : 0.0;
-      const SqlSizes sizes = MeasureSqlSizes(measured.ucq, workload.vocab);
-      // These rows time RewriteCq alone, so the whole wall is the
-      // saturate phase; factoring and emission are measured on the side
-      // by MeasureSqlSizes and reported as their own phases.
-      char line[768];
-      std::snprintf(
-          line, sizeof(line),
-          "    {\"name\": \"%s\", \"threads\": %d, \"threads_used\": %d, "
-          "\"wall_ms\": %.3f, \"saturate_ms\": %.3f, \"factor_ms\": %.3f, "
-          "\"emit_ms\": %.3f, "
-          "\"steps\": %d, \"steps_per_sec\": %.1f, \"generated\": %d, "
-          "\"pruned\": %d, \"disjuncts\": %d, "
-          "\"ucq_sql_bytes\": %zu, \"cte_sql_bytes\": %zu, "
-          "\"cte_count\": %d}",
-          workload.name.c_str(), threads, measured.threads_used, best_ms,
-          best_ms, sizes.factor_ms, sizes.emit_ms,
-          measured.steps, steps_per_sec, measured.generated, measured.pruned,
-          measured.ucq.size(), sizes.ucq_bytes, sizes.cte_bytes,
-          sizes.cte_count);
-      if (!first) json += ",\n";
-      first = false;
-      json += line;
-      std::fprintf(stderr, "%-20s threads=%d  %8.3f ms  %d disjuncts\n",
-                   workload.name.c_str(), threads, best_ms,
-                   measured.ucq.size());
     }
+    const double steps_per_sec =
+        best_ms > 0.0 ? measured.steps / (best_ms / 1000.0) : 0.0;
+    const SqlSizes sizes = MeasureSqlSizes(measured.ucq, workload.vocab);
+    // These rows time RewriteCq alone, so the whole wall is the
+    // saturate phase; factoring and emission are measured on the side
+    // by MeasureSqlSizes and reported as their own phases.
+    char line[768];
+    std::snprintf(
+        line, sizeof(line),
+        "    {\"name\": \"%s\", \"threads\": 1, \"threads_used\": 1, "
+        "\"wall_ms\": %.3f, \"saturate_ms\": %.3f, \"factor_ms\": %.3f, "
+        "\"emit_ms\": %.3f, "
+        "\"steps\": %d, \"steps_per_sec\": %.1f, \"generated\": %d, "
+        "\"pruned\": %d, \"disjuncts\": %d, "
+        "\"ucq_sql_bytes\": %zu, \"cte_sql_bytes\": %zu, "
+        "\"cte_count\": %d}",
+        workload.name.c_str(), best_ms, best_ms, sizes.factor_ms,
+        sizes.emit_ms, measured.steps, steps_per_sec, measured.generated,
+        measured.pruned, measured.ucq.size(), sizes.ucq_bytes,
+        sizes.cte_bytes, sizes.cte_count);
+    if (!first) json += ",\n";
+    first = false;
+    json += line;
+    std::fprintf(stderr, "%-20s threads=1  %8.3f ms  %d disjuncts\n",
+                 workload.name.c_str(), best_ms, measured.ucq.size());
   }
   AppendE2eRows(&json, &first);
   AppendDagBlowupRow(&json, &first);

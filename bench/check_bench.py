@@ -2,7 +2,6 @@
 """Compare a fresh bench_rewriting --json run against the checked-in baseline.
 
 Usage: check_bench.py [--max-ratio=R] [--abs-floor-ms=M]
-                      [--min-parallel-speedup=R] [--parallel-floor-ms=M]
                       [--max-cte-sql-ratio=NAME:R ...]
                       [--dag-blowup=NAME:MS ...]
                       CURRENT.json [BASELINE.json]
@@ -17,19 +16,6 @@ Phase timings (saturate_ms / factor_ms / emit_ms) are gated with the same
 ratio-plus-absolute-floor rule, but only for phases present on BOTH sides
 of a row — the checker gates the phases it knows and ignores the rest, so
 older baselines without the split keep working.
-
---min-parallel-speedup=R additionally compares each workload's threads=4
-row against its threads=1 row *within CURRENT.json* and fails if the
-parallel run is slower than wall_1 / R — the canary that keeps the
-"parallel saturation is secretly serialized" bug from returning. Only
-workloads whose serial time is at least --parallel-floor-ms are judged
-(below that, pool startup dominates and the ratio is noise). The gate is
-hardware-aware: CURRENT.json records hw_threads and per-row threads_used,
-the effective parallelism is min(threads_used, hw_threads), rows with
-effective parallelism < 2 are skipped with a NOTE (a 1-core runner cannot
-speed anything up), and when 2 <= effective < requested the required
-speedup is interpolated linearly between 1.0x (a pool must never be
-slower than serial) and R at full effective parallelism.
 
 The ratio flags exist for comparisons with a known, accepted overhead: the
 CI trace-overhead step re-runs the harness with per-rewrite tracing enabled
@@ -60,7 +46,6 @@ import sys
 
 MAX_RATIO = 2.0
 ABS_FLOOR_MS = 20.0
-PARALLEL_FLOOR_MS = 50.0
 
 
 def load(path):
@@ -73,56 +58,6 @@ def load(path):
 
 def index(doc):
     return {(r["name"], r["threads"]): r for r in doc["results"]}
-
-
-def check_parallel_speedup(doc, min_speedup, floor_ms):
-    """Within one results file: threads=4 must beat threads=1 by min_speedup
-    on every workload whose serial time clears floor_ms. Returns the list
-    of failed workload names."""
-    rows = index(doc)
-    hw_threads = doc.get("hw_threads", 0)
-    failed = []
-    for name, threads in sorted(rows.keys()):
-        if threads == 1:
-            continue
-        serial = rows.get((name, 1))
-        parallel = rows[(name, threads)]
-        if serial is None:
-            print(f"NOTE  {name}: no threads=1 row to compare against")
-            continue
-        serial_ms = serial["wall_ms"]
-        parallel_ms = parallel["wall_ms"]
-        if serial_ms < floor_ms:
-            print(
-                f"NOTE  {name}: serial {serial_ms:.3f} ms under the "
-                f"{floor_ms:.0f} ms floor, speedup not judged"
-            )
-            continue
-        threads_used = parallel.get("threads_used", threads)
-        effective = min(threads_used, hw_threads) if hw_threads else threads_used
-        if effective < 2:
-            print(
-                f"NOTE  {name}: effective parallelism {effective} "
-                f"(threads_used={threads_used}, hw_threads={hw_threads}) — "
-                f"host cannot parallelize, speedup not judged"
-            )
-            continue
-        # Scale the requirement with what the host can deliver: R at full
-        # effective parallelism, linearly down to 1.0x (never slower than
-        # serial) when only two workers can truly run.
-        eff = min(effective, threads)
-        required = 1.0 + (min_speedup - 1.0) * (eff - 1) / (threads - 1)
-        speedup = serial_ms / parallel_ms if parallel_ms > 0 else float("inf")
-        ok = speedup >= required
-        status = "ok" if ok else "FAIL"
-        print(
-            f"{status:5s} {name}: threads={threads} speedup {speedup:.2f}x "
-            f"({serial_ms:.3f} ms -> {parallel_ms:.3f} ms, require "
-            f">= {required:.2f}x at effective parallelism {effective})"
-        )
-        if not ok:
-            failed.append(f"{name} (threads={threads})")
-    return failed
 
 
 def check_dag_blowup(doc, gates):
@@ -191,8 +126,6 @@ def check_cte_sql_ratio(doc, gates):
 def main(argv):
     max_ratio = MAX_RATIO
     abs_floor_ms = ABS_FLOOR_MS
-    min_parallel_speedup = None
-    parallel_floor_ms = PARALLEL_FLOOR_MS
     cte_sql_gates = []
     dag_blowup_gates = []
     paths = []
@@ -201,10 +134,6 @@ def main(argv):
             max_ratio = float(arg.split("=", 1)[1])
         elif arg.startswith("--abs-floor-ms="):
             abs_floor_ms = float(arg.split("=", 1)[1])
-        elif arg.startswith("--min-parallel-speedup="):
-            min_parallel_speedup = float(arg.split("=", 1)[1])
-        elif arg.startswith("--parallel-floor-ms="):
-            parallel_floor_ms = float(arg.split("=", 1)[1])
         elif arg.startswith("--max-cte-sql-ratio="):
             spec = arg.split("=", 1)[1]
             if ":" not in spec:
@@ -274,12 +203,6 @@ def main(argv):
                     f"{base_phase:.3f} ms"
                 )
                 failed.append(f"{name} ({phase})")
-
-    if min_parallel_speedup is not None:
-        print(f"\nparallel-speedup gate (require {min_parallel_speedup}x):")
-        failed += check_parallel_speedup(
-            current_doc, min_parallel_speedup, parallel_floor_ms
-        )
 
     if cte_sql_gates:
         print("\ncte-sql-size gate:")

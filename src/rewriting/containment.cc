@@ -1,10 +1,7 @@
 #include "rewriting/containment.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
-#include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -263,127 +260,52 @@ CqSignature ComputeCqSignature(const ConjunctiveQuery& cq) {
   return signature;
 }
 
-int ResolveRewriteThreads(int requested, std::size_t num_tasks) {
-  constexpr int kMaxThreads = 16;
-  // Clamping to hardware_concurrency exactly would silently serialize the
-  // pool on 1–2 core hosts (and in cgroup-limited CI containers, where
-  // the reported count is unreliable), masking every concurrency bug the
-  // parallel tests exist to catch. Modest oversubscription is harmless —
-  // workers are compute-bound and preemptible — so small hosts still run
-  // a real pool; fork-bomb protection comes from kMaxThreads.
-  constexpr int kOversubscribeFloor = 4;
-  // Below this many tasks a pool cannot win: spawning + joining even one
-  // jthread costs ~100µs while a handful of expansions or containment
-  // tests finish in a fraction of that (paper_example1 at threads=4 was
-  // 3x SLOWER than inline). Callers whose task count is only an estimate
-  // (the saturator's first-level fan-out) re-resolve after an inline
-  // warmup when the workload proves larger — see Saturator::Run.
-  constexpr std::size_t kMinTasksForPool = 8;
-  if (requested <= 1 || num_tasks < kMinTasksForPool) return 1;
-  int resolved = std::min(requested, kMaxThreads);
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  resolved = std::min(resolved,
-                      std::max(static_cast<int>(hw), kOversubscribeFloor));
-  if (num_tasks < static_cast<std::size_t>(resolved)) {
-    resolved = static_cast<int>(num_tasks);
-  }
-  return std::max(resolved, 1);
-}
-
-StatusOr<UnionOfCqs> MinimizeUcqWithOptions(const UnionOfCqs& ucq,
-                                            const MinimizeUcqOptions& options) {
+StatusOr<UnionOfCqs> MinimizeUcq(const UnionOfCqs& ucq,
+                                 const MinimizeUcqOptions& options) {
   const std::size_t n = ucq.disjuncts().size();
-  std::vector<ConjunctiveQuery> minimized(n);
-  std::vector<CqSignature> signatures(n);
-  std::vector<CqMatchContext> contexts(n);
+  auto check = [&options] {
+    OREW_RETURN_IF_ERROR(options.cancel.Check("ucq minimization"));
+    return CheckFaultPoint("rewrite.step");
+  };
+
+  // Phase a: per-disjunct minimization (optional).
+  std::vector<ConjunctiveQuery> minimized;
+  std::vector<CqSignature> signatures;
+  std::vector<CqMatchContext> contexts;
+  minimized.reserve(n);
+  signatures.reserve(n);
+  contexts.reserve(n);
+  for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
+    OREW_RETURN_IF_ERROR(check());
+    minimized.push_back(options.minimize_disjuncts ? MinimizeCq(cq) : cq);
+    signatures.push_back(ComputeCqSignature(minimized.back()));
+    contexts.push_back(BuildMatchContext(minimized.back()));
+  }
+
+  // Phase b: pairwise subsumption verdicts. A disjunct is dead iff another
+  // disjunct strictly subsumes it, or an equivalent disjunct with a
+  // smaller index exists — so every verdict reads only the minimized
+  // disjuncts, never another verdict. (Plain "some i subsumes j" would
+  // erase *both* members of an equivalent pair.)
   std::vector<char> dead(n, 0);
-  const int threads = ResolveRewriteThreads(options.threads, n);
-
-  // A disjunct is dead iff another disjunct strictly subsumes it, or an
-  // equivalent disjunct with a smaller index exists. This rule is
-  // symmetric in evaluation order, so every (i, j) verdict can run
-  // independently — determinism for free in the parallel sweep. (Plain
-  // "some i subsumes j" would erase *both* members of an equivalent pair.)
-  std::atomic<std::size_t> next_minimize{0};
-  std::atomic<std::size_t> next_sweep{0};
-  std::atomic<bool> tripped{false};
-  std::mutex error_mutex;
-  Status first_error;
-
-  auto worker = [&] {
-    // Phase a: per-disjunct minimization (optional).
-    for (std::size_t i = next_minimize.fetch_add(1); i < n;
-         i = next_minimize.fetch_add(1)) {
-      if (tripped.load(std::memory_order_relaxed)) return;
-      Status status = options.cancel.Check("ucq minimization");
-      if (status.ok()) status = CheckFaultPoint("rewrite.step");
-      if (!status.ok()) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (first_error.ok()) first_error = std::move(status);
-        tripped.store(true, std::memory_order_relaxed);
-        return;
-      }
-      minimized[i] = options.minimize_disjuncts
-                         ? MinimizeCq(ucq.disjuncts()[i])
-                         : ucq.disjuncts()[i];
-      signatures[i] = ComputeCqSignature(minimized[i]);
-      contexts[i] = BuildMatchContext(minimized[i]);
-    }
-  };
-  auto sweeper = [&] {
-    // Phase b: pairwise subsumption verdicts, one row per claim.
-    for (std::size_t j = next_sweep.fetch_add(1); j < n;
-         j = next_sweep.fetch_add(1)) {
-      if (tripped.load(std::memory_order_relaxed)) return;
-      Status status = options.cancel.Check("ucq minimization");
-      if (status.ok()) status = CheckFaultPoint("rewrite.step");
-      if (!status.ok()) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (first_error.ok()) first_error = std::move(status);
-        tripped.store(true, std::memory_order_relaxed);
-        return;
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        if (i == j) continue;
-        if (!SignatureMaySubsume(signatures[i], signatures[j])) continue;
-        if (!CqSubsumes(minimized[i], minimized[j], contexts[j])) continue;
-        if (!CqSubsumes(minimized[j], minimized[i], contexts[i]) || i < j) {
-          dead[j] = 1;
-          break;
-        }
+  for (std::size_t j = 0; j < n; ++j) {
+    OREW_RETURN_IF_ERROR(check());
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i == j) continue;
+      if (!SignatureMaySubsume(signatures[i], signatures[j])) continue;
+      if (!CqSubsumes(minimized[i], minimized[j], contexts[j])) continue;
+      if (!CqSubsumes(minimized[j], minimized[i], contexts[i]) || i < j) {
+        dead[j] = 1;
+        break;
       }
     }
-  };
-
-  auto run_phase = [&](auto& fn) {
-    if (threads <= 1) {
-      fn();
-      return;
-    }
-    std::vector<std::jthread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int w = 0; w < threads; ++w) pool.emplace_back(fn);
-  };  // jthreads join at scope exit of run_phase's pool.
-
-  run_phase(worker);
-  if (first_error.ok()) run_phase(sweeper);
-  if (!first_error.ok()) return first_error;
+  }
 
   UnionOfCqs result;
   for (std::size_t i = 0; i < n; ++i) {
     if (!dead[i]) result.Add(std::move(minimized[i]));
   }
   return result;
-}
-
-UnionOfCqs MinimizeUcq(const UnionOfCqs& ucq) {
-  StatusOr<UnionOfCqs> result = MinimizeUcqWithOptions(ucq, {});
-  // No cancellation scope was supplied, so the only failure mode is an
-  // armed "rewrite.step" fault — surface it as an empty union rather
-  // than crashing (legacy callers have no error channel).
-  if (!result.ok()) return UnionOfCqs();
-  return *std::move(result);
 }
 
 }  // namespace ontorew

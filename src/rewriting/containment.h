@@ -94,43 +94,24 @@ inline bool SignatureMaySubsume(const CqSignature& general,
 // --- UCQ minimization --------------------------------------------------------
 
 struct MinimizeUcqOptions {
-  // Worker threads for the per-disjunct minimization and the pairwise
-  // subsumption sweep; <= 1 runs inline on the calling thread.
-  int threads = 1;
   // Minimize each disjunct before the subsumption sweep. Callers whose
   // disjuncts are already cores (the rewriter with reduce_intermediate)
   // skip this phase.
   bool minimize_disjuncts = true;
-  // Cooperative cancellation, checked between containment tests (and the
-  // "rewrite.step" fault point fires there, so injected faults cover the
-  // minimization stage too).
+  // Cooperative cancellation, checked once per disjunct in each phase
+  // (and the "rewrite.step" fault point fires there, so injected faults
+  // cover the minimization stage too).
   CancelScope cancel;
 };
 
-// Minimizes each disjunct and removes disjuncts subsumed by another. The
-// surviving set is the subsumption-minimal one and is independent of both
-// disjunct order and thread count: a disjunct dies iff some other
+// Minimizes each disjunct, then removes disjuncts subsumed by another. The
+// surviving set is the subsumption-minimal one and does not depend on the
+// order in which the pairs are checked: a disjunct dies iff some other
 // disjunct strictly subsumes it, or an equivalent disjunct with a smaller
-// index exists.
-StatusOr<UnionOfCqs> MinimizeUcqWithOptions(const UnionOfCqs& ucq,
-                                            const MinimizeUcqOptions& options);
-
-// Legacy single-threaded entry point (no cancellation).
-UnionOfCqs MinimizeUcq(const UnionOfCqs& ucq);
-
-// Clamps a requested rewriting/minimization thread count: <= 0 and 1 both
-// mean inline execution, as does any num_tasks below a small floor
-// (currently 8) — a pool with too little to share is pure overhead, and
-// sub-millisecond saturations were measurably SLOWER with threads than
-// without. Callers must pass the real task count, e.g. the rewriter
-// passes its initial worklist size plus the first-level rule fan-out,
-// not a sentinel; when that estimate undershoots, the saturator's inline
-// warmup re-resolves with the observed backlog (see Saturator::Run).
-// Larger requests are capped by a hard bound and by
-// max(hardware_concurrency, a small oversubscription floor): absurd
-// requests must not fork-bomb the process, but 1–2 core hosts still run
-// a real pool so concurrency bugs cannot hide behind the clamp.
-int ResolveRewriteThreads(int requested, std::size_t num_tasks);
+// index exists. Errors: DeadlineExceeded/Cancelled when options.cancel
+// trips, or an injected "rewrite.step" fault — never a partial union.
+StatusOr<UnionOfCqs> MinimizeUcq(const UnionOfCqs& ucq,
+                                 const MinimizeUcqOptions& options = {});
 
 }  // namespace ontorew
 

@@ -280,7 +280,6 @@ StatusOr<DagRewriteResult> FallbackPath(const UnionOfCqs& query,
   result.generated = flat->generated;
   result.steps = flat->steps;
   result.pruned = flat->pruned;
-  result.threads_used = flat->threads_used;
   result.implied_disjuncts = flat->ucq.size();
 
   TraceSpan factor_span(options.rewriter.trace, "factor");
@@ -385,8 +384,6 @@ StatusOr<DagRewriteResult> RewriteToDatalog(const UnionOfCqs& query,
     result.generated += rewritten->generated;
     result.steps += rewritten->steps;
     result.pruned += rewritten->pruned;
-    result.threads_used =
-        std::max(result.threads_used, rewritten->threads_used);
     group_span.Attr("disjuncts",
                     static_cast<std::int64_t>(rewritten->ucq.size()));
     auto inserted =

@@ -105,7 +105,6 @@ struct DagRewriteResult {
   int generated = 0;
   int steps = 0;
   int pruned = 0;
-  int threads_used = 1;
   // Phase split: time inside RewriteUcq calls vs. time decomposing,
   // assembling and validating the program (or running FactorUcq on the
   // fallback path). Feeds the rewrite_ns / factor_ns serving metrics and

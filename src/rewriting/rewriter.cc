@@ -1,14 +1,10 @@
 #include "rewriting/rewriter.h"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -200,7 +196,8 @@ ConjunctiveQuery RenameCqDense(const ConjunctiveQuery& cq) {
 }
 
 // Deterministic structural order on canonical forms: the final union is
-// sorted with this so the output UCQ is identical across thread counts.
+// sorted with this so the output UCQ does not depend on which member of
+// an equivalence class the saturation happened to keep.
 bool StructuralLess(const ConjunctiveQuery& a, const ConjunctiveQuery& b) {
   if (a.body().size() != b.body().size()) {
     return a.body().size() < b.body().size();
@@ -211,9 +208,9 @@ bool StructuralLess(const ConjunctiveQuery& a, const ConjunctiveQuery& b) {
   return a.body() < b.body();
 }
 
-// A generated CQ fully prepared outside any lock: stored representative
-// (a core under reduce_intermediate, a canonical form in the ablation
-// mode), dedup hash, subsumption signature, provenance.
+// A generated CQ prepared for insertion: stored representative (a core
+// under reduce_intermediate, a canonical form in the ablation mode),
+// dedup hash, subsumption signature, provenance.
 struct Candidate {
   ConjunctiveQuery cq;
   std::uint64_t hash = 0;
@@ -227,182 +224,82 @@ struct Candidate {
   bool aux = false;
 };
 
-// A stored CQ. Immutable after publication except `retired`, so readers
-// that obtained the pointer through a stripe-lock acquire may touch every
-// other field without holding any lock. Lives in a per-stripe deque for
-// address stability.
+// A stored CQ, immutable once inserted. Its id is its index in the store.
 struct StoredCq {
-  StoredCq(ConjunctiveQuery cq_in, CqMatchContext context_in,
-           CqSignature signature_in, CqDerivation derivation_in,
-           int global_id_in, bool aux_in)
-      : cq(std::move(cq_in)),
-        context(std::move(context_in)),
-        signature(std::move(signature_in)),
-        derivation(derivation_in),
-        global_id(global_id_in),
-        aux(aux_in) {}
-
   ConjunctiveQuery cq;
   CqMatchContext context;
   CqSignature signature;
   CqDerivation derivation;
-  int global_id;
-  bool aux;
-  std::atomic<bool> retired{false};
 };
 
-// The saturation core, unserialized (DESIGN.md §9 "Concurrency"): the CQ
-// store and the dedup index are sharded into kNumStripes stripes keyed by
-// the renaming-invariant hash, each behind its own mutex, so concurrent
-// inserts of unrelated CQs never contend; the worklist is a set of
-// per-worker deques with work-stealing; everything expensive —
-// unification, intermediate minimization, homomorphism checks — runs
-// outside every lock. With threads <= 1 the worker loop runs inline on
-// the calling thread; the final union is canonicalized and sorted after
-// the pool joins, so the output is identical across thread counts even
-// though insertion order is not.
+// The saturation core (DESIGN.md §9 "Saturation core"): one FIFO
+// worklist over a CQ store indexed by id, one dedup index keyed by the
+// renaming-invariant hash, and one dense row per CQ carrying just the
+// fields the subsumption sweeps gate on. The final union is canonicalized
+// and sorted by the caller, so the output does not depend on the
+// exploration order.
 class Saturator {
  public:
-  // Stripe count: enough that 4–16 workers rarely collide on a stripe
-  // mutex, few enough that the per-insert subsumption sweep (which visits
-  // every stripe) stays a handful of uncontended lock acquisitions on
-  // small workloads.
-  static constexpr std::size_t kNumStripes = 16;
-  // Work queues, indexed by worker. Sized for the hard thread cap so the
-  // queue vector never resizes once workers run.
-  static constexpr std::size_t kNumQueues = 16;
-
   Saturator(const std::vector<PreparedRule>& rules,
             const RewriterOptions& options)
-      : rules_(rules),
-        rule_index_(rules),
-        options_(options),
-        stripes_(kNumStripes),
-        queues_(kNumQueues) {}
+      : rules_(rules), rule_index_(rules), options_(options) {}
 
   // `trace` is the "saturate" span's context: per-iteration spans nest
-  // under it. Set before the pool spawns, read-only afterwards.
+  // under it.
   Status Run(const UnionOfCqs& query, const TraceContext& trace) {
     trace_ = trace;
-    // Initial disjuncts round-robin across the queues so a pool has work
-    // to start on without stealing.
-    int next_queue = 0;
     for (const ConjunctiveQuery& cq : query.disjuncts()) {
-      OREW_RETURN_IF_ERROR(Insert(MakeCandidate(cq, CqDerivation{}, false),
-                                  next_queue));
-      next_queue = (next_queue + 1) % static_cast<int>(kNumQueues);
+      OREW_RETURN_IF_ERROR(Insert(MakeCandidate(cq, CqDerivation{}, false)));
     }
-    // Resolve the pool size against the work actually visible up front:
-    // the deduplicated initial worklist plus the expected rewriting
-    // fan-out — rule-index hits over every predicate *transitively*
-    // reachable from the query through rule bodies, since a deep
-    // recursion (1 disjunct, 1 matching rule, thousands of successors)
-    // deserves a full pool while a 1-disjunct query no rule resolves must
-    // stay inline instead of spinning one up. The walk stops as soon as
-    // the estimate is clearly "plenty"; it only needs to be accurate near
-    // zero.
-    constexpr std::size_t kPlentyOfWork = 1024;
-    std::size_t fan_out = 0;
-    std::vector<PredicateId> frontier;
-    std::unordered_map<PredicateId, bool> visited;
-    for (const ConjunctiveQuery& cq : query.disjuncts()) {
-      for (const Atom& atom : cq.body()) {
-        if (!visited.emplace(atom.predicate(), true).second) continue;
-        frontier.push_back(atom.predicate());
-      }
+    while (!worklist_.empty()) {
+      const int id = worklist_.front();
+      worklist_.pop_front();
+      if (rows_[static_cast<std::size_t>(id)].retired) continue;
+      OREW_RETURN_IF_ERROR(Expand(id));
     }
-    while (!frontier.empty() && fan_out < kPlentyOfWork) {
-      const PredicateId predicate = frontier.back();
-      frontier.pop_back();
-      const std::vector<int>* rule_ids = rule_index_.Lookup(predicate);
-      if (rule_ids == nullptr) continue;
-      fan_out += rule_ids->size();
-      for (int rule_id : *rule_ids) {
-        for (const Atom& beta :
-             rules_[static_cast<std::size_t>(rule_id)].body) {
-          if (!visited.emplace(beta.predicate(), true).second) continue;
-          frontier.push_back(beta.predicate());
-        }
-      }
-    }
-    threads_used_ = ResolveRewriteThreads(
-        options_.threads,
-        static_cast<std::size_t>(
-            pending_.load(std::memory_order_relaxed)) + fan_out);
-    if (threads_used_ <= 1 && options_.threads > 1) {
-      // The up-front estimate is only accurate near zero: a 1-disjunct
-      // query over a few rules resolves to "stay inline", yet its
-      // expansion may fan out into hundreds of CQs. Probe with a bounded
-      // inline warmup; if work is still pending afterwards the workload
-      // proved itself non-tiny, so re-resolve with a generous task count
-      // and spawn the pool. The warmup runs strictly before any worker
-      // thread exists, so it needs no extra synchronization.
-      constexpr long kWarmupBudget = 64;
-      WorkerLoop(0, kWarmupBudget);
-      if (!stop_.load(std::memory_order_acquire) &&
-          pending_.load(std::memory_order_acquire) > 0) {
-        threads_used_ = ResolveRewriteThreads(options_.threads, kPlentyOfWork);
-      }
-    }
-    if (threads_used_ <= 1) {
-      WorkerLoop(0);
-    } else {
-      parallel_.store(true, std::memory_order_relaxed);
-      std::vector<std::jthread> pool;
-      pool.reserve(static_cast<std::size_t>(threads_used_));
-      for (int w = 0; w < threads_used_; ++w) {
-        pool.emplace_back([this, w] { WorkerLoop(w); });
-      }
-    }  // jthreads join here.
-    std::lock_guard<std::mutex> lock(error_mu_);
-    return error_;
+    return Status::Ok();
   }
 
-  // Moves the saturation outcome into `result` (everything except ucq).
-  // Runs after the pool joined: single-threaded, no locks needed.
+  // Copies the saturation outcome into `result` (everything except ucq).
   void Export(RewriteResult* result) {
-    const int n = total_cqs_.load(std::memory_order_relaxed);
-    result->generated = n;
-    result->steps = static_cast<int>(steps_.load(std::memory_order_relaxed));
-    result->pruned =
-        static_cast<int>(pruned_.load(std::memory_order_relaxed));
-    result->retired = retired_count_.load(std::memory_order_relaxed);
-    result->threads_used = threads_used_;
-    result->saturated.assign(static_cast<std::size_t>(n),
-                             ConjunctiveQuery());
-    result->derivations.assign(static_cast<std::size_t>(n), CqDerivation{});
-    for (const Stripe& stripe : stripes_) {
-      for (const StoredCq& entry : stripe.entries) {
-        const auto id = static_cast<std::size_t>(entry.global_id);
-        result->saturated[id] = entry.cq;
-        result->derivations[id] = entry.derivation;
-      }
+    result->generated = static_cast<int>(cqs_.size());
+    result->steps = static_cast<int>(steps_);
+    result->pruned = static_cast<int>(pruned_);
+    result->retired = retired_;
+    result->saturated.clear();
+    result->derivations.clear();
+    result->saturated.reserve(cqs_.size());
+    result->derivations.reserve(cqs_.size());
+    for (const StoredCq& entry : cqs_) {
+      result->saturated.push_back(entry.cq);
+      result->derivations.push_back(entry.derivation);
     }
   }
 
-  // The non-retired CQs in global-insertion order (the union the final
-  // minimization starts from). Post-join, single-threaded.
+  // The non-retired CQs in insertion order (the union the final
+  // minimization starts from).
   std::vector<ConjunctiveQuery> LiveCqs() const {
-    const auto n =
-        static_cast<std::size_t>(total_cqs_.load(std::memory_order_relaxed));
-    std::vector<const StoredCq*> by_id(n, nullptr);
-    for (const Stripe& stripe : stripes_) {
-      for (const StoredCq& entry : stripe.entries) {
-        by_id[static_cast<std::size_t>(entry.global_id)] = &entry;
-      }
-    }
     std::vector<ConjunctiveQuery> live;
-    live.reserve(n);
-    for (const StoredCq* entry : by_id) {
-      if (entry != nullptr &&
-          !entry->retired.load(std::memory_order_relaxed)) {
-        live.push_back(entry->cq);
-      }
+    live.reserve(cqs_.size());
+    for (std::size_t id = 0; id < cqs_.size(); ++id) {
+      if (!rows_[id].retired) live.push_back(cqs_[id].cq);
     }
     return live;
   }
 
  private:
+  // The gate fields of one stored CQ, kept in a flat vector parallel to
+  // the store so the subsumption sweeps scan cache-dense rows and touch a
+  // StoredCq only for survivors.
+  struct SigRef {
+    std::uint64_t predicate_mask;
+    int body_atoms;
+    bool aux;
+    // Set once a newer CQ strictly subsumes this one: it is skipped by
+    // the worklist and the sweeps, and excluded from the final union.
+    bool retired;
+  };
+
   Candidate MakeCandidate(const ConjunctiveQuery& cq, CqDerivation derivation,
                           bool aux) const {
     // Minimize before deduplication: backward application of a recursive
@@ -436,42 +333,16 @@ class Saturator {
     return candidate;
   }
 
-  // One shard of the CQ store. The dedup index is local: a CQ's stripe is
-  // determined by its invariant hash, so every duplicate of a candidate
-  // lives in the candidate's home stripe and the dedup check never leaves
-  // it. The flat `refs` array mirrors `entries` with just the fields the
-  // subsumption sweep gates on, so the sweep scans cache-dense rows under
-  // the stripe lock and chases the entry pointer only for survivors.
-  struct SigRef {
-    std::uint64_t predicate_mask;
-    int body_atoms;
-    bool aux;
-    StoredCq* entry;
-  };
-  struct Stripe {
-    std::mutex mu;
-    std::deque<StoredCq> entries;  // Stable addresses.
-    std::vector<SigRef> refs;
-    // Invariant hash -> indices into `entries`.
-    std::unordered_map<std::uint64_t, std::vector<int>> by_hash;
-  };
-
-  Stripe& HomeStripe(std::uint64_t hash) {
-    return stripes_[hash % kNumStripes];
-  }
-
-  // True iff a stored CQ already represents `candidate`. Called under the
-  // home stripe's lock. On a hash hit the hot path confirms with a
-  // two-way containment check (hom-equivalent cores are the same CQ up to
-  // renaming) and the ablation path compares canonical forms
-  // structurally. Either way a hash collision degrades to an extra check,
-  // never to a wrong merge.
-  bool IsDuplicateLocked(const Stripe& stripe,
-                         const Candidate& candidate) const {
-    auto it = stripe.by_hash.find(candidate.hash);
-    if (it == stripe.by_hash.end()) return false;
-    for (int i : it->second) {
-      const StoredCq& entry = stripe.entries[static_cast<std::size_t>(i)];
+  // True iff a stored CQ already represents `candidate`. On a hash hit
+  // the hot path confirms with a two-way containment check (hom-equivalent
+  // cores are the same CQ up to renaming) and the ablation path compares
+  // canonical forms structurally. Either way a hash collision degrades to
+  // an extra check, never to a wrong merge.
+  bool IsDuplicate(const Candidate& candidate) const {
+    auto it = by_hash_.find(candidate.hash);
+    if (it == by_hash_.end()) return false;
+    for (int id : it->second) {
+      const StoredCq& entry = cqs_[static_cast<std::size_t>(id)];
       if (options_.reduce_intermediate) {
         if (CqSubsumes(entry.cq, candidate.cq, candidate.context) &&
             CqSubsumes(candidate.cq, entry.cq, entry.context)) {
@@ -484,132 +355,67 @@ class Saturator {
     return false;
   }
 
-  // Dedup, eager-subsumption prune, insert, enqueue, retire. Each stripe
-  // lock is held only for its own index reads/writes; every homomorphism
-  // check outside the dedup fast path runs on stable entry pointers with
-  // no lock held. `queue` is the work queue the new CQ is pushed to (the
-  // inserting worker's own deque; peers steal when theirs run dry).
-  Status Insert(Candidate candidate, int queue) {
-    const bool eager = options_.eager_subsumption && !candidate.aux;
-
-    // Pass 1 — dedup against the home stripe, then a sweep over every
-    // stripe's signature rows collecting potential subsumers. Stripes are
-    // locked one at a time; the collected pointers stay valid because
-    // entries are never destroyed or moved while the saturation runs.
-    {
-      Stripe& home = HomeStripe(candidate.hash);
-      std::lock_guard<std::mutex> lock(home.mu);
-      if (stop_.load(std::memory_order_relaxed) ||
-          IsDuplicateLocked(home, candidate)) {
-        return Status::Ok();
-      }
+  // The row gates in front of CqSubsumes(general, specific) in both eager
+  // sweeps (SignatureMaySubsume's exact predicate-set test follows for
+  // the rows that pass): neither side retired or factorization-generated,
+  // then body size and predicate mask. Body-size gate: a subsumer with
+  // more atoms than the subsumed CQ would have to fold atoms together —
+  // possible but rare, and missing such a prune only defers the cleanup
+  // to the final minimization. Skipping those checks is the cheap 80% win.
+  static bool RowMaySubsume(const SigRef& general, const SigRef& specific) {
+    if (general.aux || general.retired || specific.aux || specific.retired) {
+      return false;
     }
+    if (general.body_atoms > specific.body_atoms) return false;
+    return (general.predicate_mask & ~specific.predicate_mask) == 0;
+  }
+
+  // Dedup, eager-subsumption prune, cap, insert and enqueue, retire.
+  Status Insert(Candidate candidate) {
+    if (IsDuplicate(candidate)) return Status::Ok();
+    const bool eager = options_.eager_subsumption && !candidate.aux;
+    const SigRef row{candidate.signature.predicate_mask,
+                     candidate.signature.body_atoms, candidate.aux, false};
     if (eager) {
-      std::vector<const StoredCq*> subsumers;
-      for (Stripe& stripe : stripes_) {
-        std::lock_guard<std::mutex> lock(stripe.mu);
-        for (const SigRef& ref : stripe.refs) {
-          if (ref.aux || ref.entry->retired.load(std::memory_order_relaxed)) {
-            continue;
-          }
-          // Body-size gate: a subsumer with more atoms than the candidate
-          // would have to fold atoms together — possible but rare, and
-          // missing such a prune only defers the cleanup to the final
-          // minimization. Skipping those checks is the cheap 80% win.
-          if (ref.body_atoms > candidate.signature.body_atoms) continue;
-          if ((ref.predicate_mask & ~candidate.signature.predicate_mask) !=
-              0) {
-            continue;
-          }
-          if (!SignatureMaySubsume(ref.entry->signature,
-                                   candidate.signature)) {
-            continue;
-          }
-          subsumers.push_back(ref.entry);
-        }
-      }
-      for (const StoredCq* general : subsumers) {
-        if (stop_.load(std::memory_order_relaxed)) return Status::Ok();
-        if (CqSubsumes(general->cq, candidate.cq, candidate.context)) {
-          pruned_.fetch_add(1, std::memory_order_relaxed);
+      for (std::size_t id = 0; id < cqs_.size(); ++id) {
+        if (!RowMaySubsume(rows_[id], row)) continue;
+        const StoredCq& general = cqs_[id];
+        if (SignatureMaySubsume(general.signature, candidate.signature) &&
+            CqSubsumes(general.cq, candidate.cq, candidate.context)) {
+          ++pruned_;
           return Status::Ok();
         }
       }
     }
 
-    // Pass 2 — insert into the home stripe (another thread may have
-    // inserted an identical CQ since pass 1, so re-check under the lock).
-    StoredCq* inserted = nullptr;
-    {
-      Stripe& home = HomeStripe(candidate.hash);
-      std::lock_guard<std::mutex> lock(home.mu);
-      if (stop_.load(std::memory_order_relaxed) ||
-          IsDuplicateLocked(home, candidate)) {
-        return Status::Ok();
-      }
-      // Claim a global id against the cap. compare_exchange instead of a
-      // blind fetch_add so concurrent inserts through different stripes
-      // can never overshoot max_cqs.
-      int id = total_cqs_.load(std::memory_order_relaxed);
-      do {
-        if (id >= options_.max_cqs) {
-          return ResourceExhaustedError(
-              StrCat("rewriting exceeded the cap of ", options_.max_cqs,
-                     " conjunctive queries — the program is probably not "
-                     "FO-rewritable for this query"));
-        }
-      } while (!total_cqs_.compare_exchange_weak(
-          id, id + 1, std::memory_order_relaxed));
-      const int local = static_cast<int>(home.entries.size());
-      home.entries.emplace_back(std::move(candidate.cq),
-                                std::move(candidate.context),
-                                std::move(candidate.signature),
-                                candidate.derivation, id, candidate.aux);
-      inserted = &home.entries.back();
-      home.refs.push_back(SigRef{inserted->signature.predicate_mask,
-                                 inserted->signature.body_atoms,
-                                 inserted->aux, inserted});
-      home.by_hash[candidate.hash].push_back(local);
+    if (static_cast<int>(cqs_.size()) >= options_.max_cqs) {
+      return ResourceExhaustedError(
+          StrCat("rewriting exceeded the cap of ", options_.max_cqs,
+                 " conjunctive queries — the program is probably not "
+                 "FO-rewritable for this query"));
     }
-    EnqueueWork(inserted, queue);
+    const int inserted_id = static_cast<int>(cqs_.size());
+    cqs_.push_back(StoredCq{std::move(candidate.cq),
+                            std::move(candidate.context),
+                            std::move(candidate.signature),
+                            candidate.derivation});
+    rows_.push_back(row);
+    by_hash_[candidate.hash].push_back(inserted_id);
+    worklist_.push_back(inserted_id);
 
-    // Pass 3 — retire live CQs the new one strictly subsumes. The victim
-    // sweep takes each stripe lock only to snapshot candidate rows; the
-    // homomorphism checks and the retire flags are lock-free. Strictness
-    // matters: two equivalent CQs racing through Insert must not retire
-    // each other (the final minimization picks one of them instead).
+    // Retire the live CQs the new one strictly subsumes. Strictness keeps
+    // an equivalent pair both alive (the final minimization picks one).
     if (eager) {
-      std::vector<StoredCq*> victims;
-      for (Stripe& stripe : stripes_) {
-        std::lock_guard<std::mutex> lock(stripe.mu);
-        for (const SigRef& ref : stripe.refs) {
-          if (ref.entry == inserted || ref.aux ||
-              ref.entry->retired.load(std::memory_order_relaxed)) {
-            continue;
-          }
-          // Same body-size gate as the subsumer scan, reversed: the new
-          // CQ is the general side here.
-          if (inserted->signature.body_atoms > ref.body_atoms) continue;
-          if ((inserted->signature.predicate_mask & ~ref.predicate_mask) !=
-              0) {
-            continue;
-          }
-          if (!SignatureMaySubsume(inserted->signature,
-                                   ref.entry->signature)) {
-            continue;
-          }
-          victims.push_back(ref.entry);
-        }
-      }
-      for (StoredCq* victim : victims) {
-        if (stop_.load(std::memory_order_relaxed)) return Status::Ok();
-        if (CqSubsumes(inserted->cq, victim->cq, victim->context) &&
-            !CqSubsumes(victim->cq, inserted->cq, inserted->context)) {
-          // exchange, not store: count each retirement exactly once even
-          // when two subsumers race to retire the same victim.
-          if (!victim->retired.exchange(true, std::memory_order_relaxed)) {
-            retired_count_.fetch_add(1, std::memory_order_relaxed);
-          }
+      const StoredCq& inserted = cqs_.back();
+      for (int id = 0; id < inserted_id; ++id) {
+        SigRef& victim_row = rows_[static_cast<std::size_t>(id)];
+        if (!RowMaySubsume(row, victim_row)) continue;
+        const StoredCq& victim = cqs_[static_cast<std::size_t>(id)];
+        if (SignatureMaySubsume(inserted.signature, victim.signature) &&
+            CqSubsumes(inserted.cq, victim.cq, victim.context) &&
+            !CqSubsumes(victim.cq, inserted.cq, inserted.context)) {
+          victim_row.retired = true;
+          ++retired_;
         }
       }
     }
@@ -617,27 +423,22 @@ class Saturator {
   }
 
   // One saturation iteration: all rewriting + factorization successors of
-  // the CQ at `g_index`. `g` points into a stable stripe deque. Records
-  // an "iteration" span when tracing; the untraced path is one pointer
-  // test — and the traced path reads the CQ total from an atomic, so
-  // TRACE=1 adds no lock traffic to the saturation.
-  Status Expand(int g_index, const ConjunctiveQuery& g, int worker) {
-    if (!trace_.enabled()) return ExpandImpl(g_index, g, worker, nullptr);
+  // CQ `id`. Records an "iteration" span when tracing; the untraced path
+  // is one pointer test.
+  Status Expand(int id) {
+    if (!trace_.enabled()) return ExpandImpl(id);
     TraceSpan span(trace_, "iteration");
-    span.Attr("cq", static_cast<std::int64_t>(g_index));
-    long local_steps = 0;
-    Status status = ExpandImpl(g_index, g, worker, &local_steps);
-    span.Attr("steps", static_cast<std::int64_t>(local_steps));
-    span.Attr("pruned_total", static_cast<std::int64_t>(
-                                  pruned_.load(std::memory_order_relaxed)));
-    span.Attr("cqs_total", static_cast<std::int64_t>(
-                               total_cqs_.load(std::memory_order_relaxed)));
+    span.Attr("cq", static_cast<std::int64_t>(id));
+    const long steps_before = steps_;
+    Status status = ExpandImpl(id);
+    span.Attr("steps", static_cast<std::int64_t>(steps_ - steps_before));
+    span.Attr("pruned_total", static_cast<std::int64_t>(pruned_));
+    span.Attr("cqs_total", static_cast<std::int64_t>(cqs_.size()));
     span.AnnotateStatus(status);
     return status;
   }
 
-  Status ExpandImpl(int g_index, const ConjunctiveQuery& g, int worker,
-                    long* out_steps) {
+  Status ExpandImpl(int id) {
     // The saturation diverges on non-FO-rewritable inputs, so every
     // iteration is bounded three ways: by distinct-CQ count (the cap in
     // Insert), by wall clock / caller cancellation, and by the armed-test
@@ -645,7 +446,9 @@ class Saturator {
     OREW_RETURN_IF_ERROR(options_.cancel.Check("rewrite saturation"));
     OREW_RETURN_IF_ERROR(CheckFaultPoint("rewrite.step"));
 
-    long local_steps = 0;
+    // `g` stays valid while Insert appends: growing a deque at the back
+    // never moves its elements.
+    const ConjunctiveQuery& g = cqs_[static_cast<std::size_t>(id)].cq;
     // Rewriting steps, against head-predicate-indexed rules only.
     for (std::size_t a = 0; a < g.body().size(); ++a) {
       const std::vector<int>* rule_ids =
@@ -656,7 +459,7 @@ class Saturator {
         Substitution subst;
         if (!UnifyAtoms(g.body()[a], rule.head, &subst)) continue;
         if (!IsApplicable(g, rule, subst)) continue;
-        ++local_steps;
+        ++steps_;
         std::vector<Atom> new_body;
         new_body.reserve(g.body().size() - 1 + rule.body.size());
         for (std::size_t i = 0; i < g.body().size(); ++i) {
@@ -665,17 +468,10 @@ class Saturator {
         for (const Atom& beta : rule.body) {
           new_body.push_back(subst.Apply(beta));
         }
-        Status status = Insert(
-            MakeCandidate(
-                ConjunctiveQuery(ApplyToAnswer(g.answer_terms(), subst),
-                                 std::move(new_body)),
-                CqDerivation{g_index, rule_id, false}, false),
-            worker);
-        if (!status.ok()) {
-          steps_.fetch_add(local_steps, std::memory_order_relaxed);
-          if (out_steps != nullptr) *out_steps = local_steps;
-          return status;
-        }
+        OREW_RETURN_IF_ERROR(Insert(MakeCandidate(
+            ConjunctiveQuery(ApplyToAnswer(g.answer_terms(), subst),
+                             std::move(new_body)),
+            CqDerivation{id, rule_id, false}, false)));
       }
     }
 
@@ -683,161 +479,28 @@ class Saturator {
     // per-CQ predicate buckets. The result is a subsumed specialization,
     // generated only because it can unlock rewriting steps (it makes
     // shared variables occur once).
-    if (options_.factorize) {
-      for (const PredicateBucket& bucket : BucketByPredicate(g)) {
-        for (std::size_t bi = 0; bi < bucket.atoms.size(); ++bi) {
-          for (std::size_t bj = bi + 1; bj < bucket.atoms.size(); ++bj) {
-            const std::size_t i = bucket.atoms[bi];
-            const std::size_t j = bucket.atoms[bj];
-            Substitution subst;
-            if (!UnifyAtoms(g.body()[i], g.body()[j], &subst)) continue;
-            ++local_steps;
-            std::vector<Atom> new_body;
-            new_body.reserve(g.body().size() - 1);
-            for (std::size_t l = 0; l < g.body().size(); ++l) {
-              if (l != j) new_body.push_back(subst.Apply(g.body()[l]));
-            }
-            Status status = Insert(
-                MakeCandidate(
-                    ConjunctiveQuery(ApplyToAnswer(g.answer_terms(), subst),
-                                     std::move(new_body)),
-                    CqDerivation{g_index, -1, true}, true),
-                worker);
-            if (!status.ok()) {
-              steps_.fetch_add(local_steps, std::memory_order_relaxed);
-              if (out_steps != nullptr) *out_steps = local_steps;
-              return status;
-            }
+    if (!options_.factorize) return Status::Ok();
+    for (const PredicateBucket& bucket : BucketByPredicate(g)) {
+      for (std::size_t bi = 0; bi < bucket.atoms.size(); ++bi) {
+        for (std::size_t bj = bi + 1; bj < bucket.atoms.size(); ++bj) {
+          const std::size_t i = bucket.atoms[bi];
+          const std::size_t j = bucket.atoms[bj];
+          Substitution subst;
+          if (!UnifyAtoms(g.body()[i], g.body()[j], &subst)) continue;
+          ++steps_;
+          std::vector<Atom> new_body;
+          new_body.reserve(g.body().size() - 1);
+          for (std::size_t l = 0; l < g.body().size(); ++l) {
+            if (l != j) new_body.push_back(subst.Apply(g.body()[l]));
           }
+          OREW_RETURN_IF_ERROR(Insert(MakeCandidate(
+              ConjunctiveQuery(ApplyToAnswer(g.answer_terms(), subst),
+                               std::move(new_body)),
+              CqDerivation{id, -1, true}, true)));
         }
       }
     }
-    steps_.fetch_add(local_steps, std::memory_order_relaxed);
-    if (out_steps != nullptr) *out_steps = local_steps;
     return Status::Ok();
-  }
-
-  // --- Worklist: per-worker deques with work-stealing -------------------
-  //
-  // Each worker owns queues_[w] and pushes its newly inserted CQs there;
-  // when its own deque runs dry it steals from peers round-robin. A
-  // mutex per deque (not a lock-free Chase–Lev deque) is deliberate:
-  // queue operations are nanoseconds next to the homomorphism work an
-  // item triggers, and plain mutexes keep the TSan story trivial.
-  //
-  // Termination: `pending_` counts CQs enqueued but not yet fully
-  // expanded. A worker that finds every queue empty terminates iff
-  // pending_ == 0 (no peer can produce more work); otherwise it sleeps on
-  // `idle_cv_` until the work epoch advances. The epoch is bumped after
-  // every enqueue and every pending_ -> 0 transition, with the notify
-  // issued after the mutex is released so a woken worker never blocks
-  // straight into the notifier's critical section.
-
-  struct WorkQueue {
-    std::mutex mu;
-    std::deque<StoredCq*> items;
-  };
-
-  void EnqueueWork(StoredCq* entry, int queue) {
-    pending_.fetch_add(1, std::memory_order_release);
-    WorkQueue& q = queues_[static_cast<std::size_t>(queue) % kNumQueues];
-    {
-      std::lock_guard<std::mutex> lock(q.mu);
-      q.items.push_back(entry);
-    }
-    if (parallel_.load(std::memory_order_relaxed)) {
-      {
-        std::lock_guard<std::mutex> lock(idle_mu_);
-        ++work_epoch_;
-      }
-      idle_cv_.notify_one();  // After unlock — no hurry-up-and-wait.
-    }
-  }
-
-  // Own queue first (FIFO), then steal from peers starting just past
-  // ourselves so thieves spread instead of converging on queue 0.
-  StoredCq* PopOrSteal(int w) {
-    for (std::size_t k = 0; k < kNumQueues; ++k) {
-      WorkQueue& q =
-          queues_[(static_cast<std::size_t>(w) + k) % kNumQueues];
-      std::lock_guard<std::mutex> lock(q.mu);
-      if (q.items.empty()) continue;
-      StoredCq* item = q.items.front();
-      q.items.pop_front();
-      return item;
-    }
-    return nullptr;
-  }
-
-  // Called once per dequeued item after its expansion (or skip). The
-  // worker that drops pending_ to zero wakes everyone so idle peers can
-  // observe termination.
-  void DoneWork() {
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) WakeAll();
-  }
-
-  void WakeAll() {
-    if (!parallel_.load(std::memory_order_relaxed)) return;
-    {
-      std::lock_guard<std::mutex> lock(idle_mu_);
-      ++work_epoch_;
-    }
-    idle_cv_.notify_all();  // After unlock — no hurry-up-and-wait.
-  }
-
-  // First error wins; everyone else drains out through stop_.
-  void TryStop(Status status) {
-    {
-      std::lock_guard<std::mutex> lock(error_mu_);
-      if (error_.ok()) error_ = std::move(status);
-    }
-    stop_.store(true, std::memory_order_release);
-    WakeAll();
-  }
-
-  // `budget` < 0 runs until the saturation completes (or stops on error);
-  // a non-negative budget returns after dequeuing that many items,
-  // leaving any remaining work queued — the single-threaded warmup pass
-  // in Run uses this to probe whether a "tiny" estimate was wrong.
-  void WorkerLoop(int w, long budget = -1) {
-    for (;;) {
-      if (budget == 0) return;
-      if (stop_.load(std::memory_order_acquire)) return;
-      std::uint64_t epoch = 0;
-      if (parallel_.load(std::memory_order_relaxed)) {
-        std::lock_guard<std::mutex> lock(idle_mu_);
-        epoch = work_epoch_;
-      }
-      StoredCq* item = PopOrSteal(w);
-      if (item == nullptr) {
-        if (pending_.load(std::memory_order_acquire) == 0) {
-          WakeAll();  // Saturation complete: release any sleeping peers.
-          return;
-        }
-        if (!parallel_.load(std::memory_order_relaxed)) continue;
-        // The epoch was read before the queue scan and producers push
-        // before bumping it, so a missed item implies a pending epoch
-        // change: no lost wakeup.
-        std::unique_lock<std::mutex> lock(idle_mu_);
-        idle_cv_.wait(lock, [this, epoch] {
-          return stop_.load(std::memory_order_relaxed) ||
-                 pending_.load(std::memory_order_relaxed) == 0 ||
-                 work_epoch_ != epoch;
-        });
-        continue;
-      }
-      if (budget > 0) --budget;
-      if (item->retired.load(std::memory_order_relaxed)) {
-        DoneWork();
-        continue;
-      }
-      Status status = Expand(item->global_id, item->cq, w);
-      DoneWork();
-      if (!status.ok()) {
-        TryStop(std::move(status));
-        return;
-      }
-    }
   }
 
   const std::vector<PreparedRule>& rules_;
@@ -845,27 +508,14 @@ class Saturator {
   const RewriterOptions& options_;
   TraceContext trace_;
 
-  // Sharded store (fixed-size vectors: stripes and queues are never
-  // added or removed while workers run, only their guarded contents
-  // change).
-  std::vector<Stripe> stripes_;
-  std::vector<WorkQueue> queues_;
-  std::atomic<int> total_cqs_{0};
-  std::atomic<int> pending_{0};
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> parallel_{false};
-  std::atomic<int> retired_count_{0};
-  std::atomic<long> steps_{0};
-  std::atomic<long> pruned_{0};
-
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
-  std::uint64_t work_epoch_ = 0;  // Guarded by idle_mu_.
-
-  std::mutex error_mu_;
-  Status error_;  // Guarded by error_mu_.
-
-  int threads_used_ = 1;  // Set before the pool spawns, read-only after.
+  std::deque<StoredCq> cqs_;  // Indexed by CQ id; stable references.
+  std::vector<SigRef> rows_;  // Parallel to cqs_.
+  // Invariant hash -> ids of the stored CQs carrying it.
+  std::unordered_map<std::uint64_t, std::vector<int>> by_hash_;
+  std::deque<int> worklist_;  // FIFO of CQ ids still to expand.
+  long steps_ = 0;
+  long pruned_ = 0;
+  int retired_ = 0;
 };
 
 }  // namespace
@@ -894,7 +544,6 @@ StatusOr<RewriteResult> RewriteUcq(const UnionOfCqs& query,
     saturate.Attr("cqs_subsumed", static_cast<std::int64_t>(result.pruned));
     saturate.Attr("cqs_retired", static_cast<std::int64_t>(result.retired));
     saturate.Attr("steps", static_cast<std::int64_t>(result.steps));
-    saturate.Attr("threads", static_cast<std::int64_t>(result.threads_used));
     saturate.AnnotateStatus(run);
     OREW_RETURN_IF_ERROR(run);
   }
@@ -906,12 +555,11 @@ StatusOr<RewriteResult> RewriteUcq(const UnionOfCqs& query,
     minimize_span.Attr("disjuncts_in",
                        static_cast<std::int64_t>(full.disjuncts().size()));
     MinimizeUcqOptions minimize;
-    minimize.threads = options.threads;
     // With reduce_intermediate every stored CQ is already a core; only
     // the ablation path needs the per-disjunct pass.
     minimize.minimize_disjuncts = !options.reduce_intermediate;
     minimize.cancel = options.cancel;
-    StatusOr<UnionOfCqs> minimized = MinimizeUcqWithOptions(full, minimize);
+    StatusOr<UnionOfCqs> minimized = MinimizeUcq(full, minimize);
     if (!minimized.ok()) {
       minimize_span.AnnotateStatus(minimized.status());
       return minimized.status();
@@ -923,9 +571,9 @@ StatusOr<RewriteResult> RewriteUcq(const UnionOfCqs& query,
 
   // Deterministic output: the saturation stores cores, not canonical
   // forms, and which member of an equivalence class survived depends on
-  // insertion order. Canonicalize the final survivors — hom-equivalent
+  // exploration order. Canonicalize the final survivors — hom-equivalent
   // cores are isomorphic, so they canonicalize identically — and sort
-  // structurally; the union is then the same for every thread count.
+  // structurally; the union then depends only on the query and program.
   // Deferring the canonical-labeling search to this point (typically an
   // order of magnitude fewer CQs than the saturation generated) is a
   // large part of the rewriting speedup.

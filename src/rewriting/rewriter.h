@@ -47,18 +47,12 @@
 // entries a new CQ subsumes — the Gottlob–Orsi–Pieris pruning that keeps
 // the intermediate union small. Factorization-generated CQs are exempt
 // (they are subsumed by construction and exist only to unlock rewriting
-// steps). threads > 1 runs the saturation on a worker pool over striped
-// shared structures: the CQ store and dedup index are sharded into
-// hash-keyed stripes with one mutex each, the worklist is a set of
-// per-worker deques with work-stealing, and all expensive work
-// (unification, canonicalization, homomorphism checks) runs outside
-// every lock — concurrent inserts of unrelated CQs never contend. The
-// pool size is resolved against the initial worklist plus the
-// first-level rule fan-out, so trivial queries stay inline. The produced
-// UCQ is deterministic — identical across thread counts and runs —
-// because the final union is minimized and sorted canonically.
-// `steps`/`saturated` order may vary across parallel runs; the answering
-// semantics never does.
+// steps). The saturation is one sequential FIFO worklist on the calling
+// thread, seeded with the input disjuncts in order; callers get their
+// concurrency from running independent rewritings side by side (the
+// server's workers), not from inside one. Everything it produces —
+// `saturated`, `derivations`, the counters and the final union — is
+// deterministic, and the union is minimized and sorted canonically.
 
 namespace ontorew {
 
@@ -88,14 +82,9 @@ struct RewriterOptions {
   // Disabling reproduces the naive explore-everything saturation; the
   // equivalence property test pins both modes to the same answers.
   bool eager_subsumption = true;
-  // Saturation/minimization worker threads. <= 1 runs inline on the
-  // calling thread (fully deterministic, no pool); larger values are
-  // clamped by the available work, a hard bound, and the hardware (with
-  // a small oversubscription floor — see ResolveRewriteThreads).
-  int threads = 1;
   // Request-scoped tracing (see base/trace.h). Inert by default; when
   // enabled, RewriteUcq records a "saturate" span (attributes
-  // cqs_generated, cqs_subsumed, cqs_retired, steps, threads) with one
+  // cqs_generated, cqs_subsumed, cqs_retired, steps) with one
   // "iteration" child per worklist expansion (attributes cq, steps,
   // cqs_total, pruned_total — capped by the Trace's max_spans) and a
   // "minimize" span for the final containment sweep.
@@ -126,11 +115,9 @@ struct RewriteResult {
   // Kept CQs later retired because a newer CQ subsumes them; retired CQs
   // stay in `saturated` for provenance but are excluded from `ucq`.
   int retired = 0;
-  // Worker threads the saturation actually ran with (after clamping).
-  int threads_used = 1;
   // All saturated CQs with their derivations (aligned; ucq above is the
-  // minimized union of the non-retired ones). Order is deterministic for
-  // threads <= 1 and scheduling-dependent otherwise.
+  // minimized union of the non-retired ones), in insertion order: the
+  // input disjuncts first, then each CQ's successors in worklist order.
   std::vector<ConjunctiveQuery> saturated;
   std::vector<CqDerivation> derivations;
 };

@@ -1,6 +1,8 @@
 #include <cstddef>
+#include <string>
 #include <vector>
 
+#include "base/fault_point.h"
 #include "base/rng.h"
 #include "gtest/gtest.h"
 #include "logic/atom.h"
@@ -103,8 +105,9 @@ TEST(MinimizeUcqTest, RemovesSubsumedDisjuncts) {
   ucq.Add(MustQuery("q(X) :- r(X, Y).", &vocab));
   ucq.Add(MustQuery("q(X) :- r(X, a).", &vocab));  // Subsumed.
   ucq.Add(MustQuery("q(X) :- s(X).", &vocab));     // Independent.
-  UnionOfCqs minimized = MinimizeUcq(ucq);
-  EXPECT_EQ(minimized.size(), 2);
+  StatusOr<UnionOfCqs> minimized = MinimizeUcq(ucq);
+  ASSERT_TRUE(minimized.ok()) << minimized.status();
+  EXPECT_EQ(minimized->size(), 2);
 }
 
 TEST(MinimizeUcqTest, EquivalentPairKeepsOne) {
@@ -112,8 +115,9 @@ TEST(MinimizeUcqTest, EquivalentPairKeepsOne) {
   UnionOfCqs ucq;
   ucq.Add(MustQuery("q(X) :- r(X, Y).", &vocab));
   ucq.Add(MustQuery("q(U) :- r(U, V).", &vocab));
-  UnionOfCqs minimized = MinimizeUcq(ucq);
-  EXPECT_EQ(minimized.size(), 1);
+  StatusOr<UnionOfCqs> minimized = MinimizeUcq(ucq);
+  ASSERT_TRUE(minimized.ok()) << minimized.status();
+  EXPECT_EQ(minimized->size(), 1);
 }
 
 // The historical MinimizeCq rescanned from atom 0 after every successful
@@ -182,36 +186,39 @@ TEST(MinimizeUcqTest, MinimizesWithinDisjuncts) {
   Vocabulary vocab;
   UnionOfCqs ucq;
   ucq.Add(MustQuery("q(X) :- r(X, Y), r(X, Z).", &vocab));
-  UnionOfCqs minimized = MinimizeUcq(ucq);
-  ASSERT_EQ(minimized.size(), 1);
-  EXPECT_EQ(minimized.disjuncts()[0].body().size(), 1u);
+  StatusOr<UnionOfCqs> minimized = MinimizeUcq(ucq);
+  ASSERT_TRUE(minimized.ok()) << minimized.status();
+  ASSERT_EQ(minimized->size(), 1);
+  EXPECT_EQ(minimized->disjuncts()[0].body().size(), 1u);
 }
 
-TEST(ResolveRewriteThreadsTest, ClampsByTaskCountAndBounds) {
-  // Inline execution whenever a pool could not possibly help.
-  EXPECT_EQ(ResolveRewriteThreads(0, 100), 1);
-  EXPECT_EQ(ResolveRewriteThreads(1, 100), 1);
-  EXPECT_EQ(ResolveRewriteThreads(-3, 100), 1);
-  EXPECT_EQ(ResolveRewriteThreads(8, 0), 1);
-  EXPECT_EQ(ResolveRewriteThreads(8, 1), 1);
-  // Below the min-tasks floor a pool cannot amortize its spawn cost:
-  // sub-millisecond saturations stay inline (paper_example1 at threads=4
-  // was 3x slower than threads=1 before this floor existed).
-  EXPECT_EQ(ResolveRewriteThreads(8, 2), 1);
-  EXPECT_EQ(ResolveRewriteThreads(8, 7), 1);
-  // At the floor the pool comes back, still bounded by the task count.
-  EXPECT_GE(ResolveRewriteThreads(8, 8), 4);  // Oversubscription floor.
-  EXPECT_LE(ResolveRewriteThreads(8, 8), 8);
-  EXPECT_LE(ResolveRewriteThreads(16, 10), 10);
-  // Large requests are bounded regardless of task count (the hard cap is
-  // 16, the hardware clamp has an oversubscription floor of 4): never
-  // fewer than 2 for a parallel request with work to share, never more
-  // than 16.
-  const int resolved = ResolveRewriteThreads(64, 1u << 20);
-  EXPECT_GE(resolved, 2);
-  EXPECT_LE(resolved, 16);
-  // Monotonic in the request: asking for fewer threads never yields more.
-  EXPECT_LE(ResolveRewriteThreads(2, 1u << 20), resolved);
+// An armed fault (or a tripped deadline) must surface as an error: an
+// empty union would read as "no certain answers", a silently wrong result.
+TEST(MinimizeUcqTest, ArmedFaultIsAnErrorNotAnEmptyUnion) {
+  Vocabulary vocab;
+  UnionOfCqs ucq;
+  ucq.Add(MustQuery("q(X) :- r(X, Y).", &vocab));
+  ucq.Add(MustQuery("q(X) :- s(X).", &vocab));
+  {
+    ScopedFault fault("rewrite.step");
+    StatusOr<UnionOfCqs> faulted = MinimizeUcq(ucq);
+    ASSERT_FALSE(faulted.ok());
+    EXPECT_EQ(faulted.status().code(), StatusCode::kInternal);
+    EXPECT_NE(faulted.status().message().find("rewrite.step"),
+              std::string::npos)
+        << faulted.status();
+  }
+  {
+    // Tripping in the subsumption sweep, after every disjunct was
+    // minimized, is an error too.
+    FaultPointConfig config;
+    config.after = ucq.size();
+    ScopedFault fault("rewrite.step", config);
+    EXPECT_FALSE(MinimizeUcq(ucq).ok());
+  }
+  StatusOr<UnionOfCqs> clean = MinimizeUcq(ucq);
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  EXPECT_EQ(clean->size(), 2);
 }
 
 }  // namespace

@@ -190,9 +190,15 @@ DiffOutcome RunTriple(const TgdProgram& program, const Database& db,
                             unfolded.status().ToString());
     return outcome;
   }
-  const UnionOfCqs dag_minimized = MinimizeUcq(*unfolded);
+  StatusOr<UnionOfCqs> dag_minimized = MinimizeUcq(*unfolded);
+  if (!dag_minimized.ok()) {
+    outcome.agree = false;
+    outcome.detail = StrCat("dag minimization failed: ",
+                            dag_minimized.status().ToString());
+    return outcome;
+  }
   std::vector<std::string> dag_keys, flat_keys;
-  for (const ConjunctiveQuery& cq : dag_minimized.disjuncts()) {
+  for (const ConjunctiveQuery& cq : dag_minimized->disjuncts()) {
     dag_keys.push_back(CanonicalCqKey(cq));
   }
   for (const ConjunctiveQuery& cq : rewriting->ucq.disjuncts()) {

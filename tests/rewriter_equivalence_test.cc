@@ -1,18 +1,19 @@
 // Property test: the optimized saturation core (rule index, hashed dedup,
-// eager subsumption pruning, optional worker pool) answers exactly like
-// the naive explore-everything single-threaded saturation.
+// eager subsumption pruning) answers exactly like the naive
+// explore-everything saturation.
 //
 // For each seeded random single-head program + random CQ, the minimized,
 // canonically sorted rewriting of the naive configuration
-// (eager_subsumption = false, threads = 1) must equal — CQ for CQ — the
-// rewritings of the optimized configuration at threads = 1 and at
-// threads = 4. Seeds whose naive saturation hits the divergence cap are
-// skipped (the optimized core may legitimately terminate where the naive
-// one diverges, since pruning shrinks the explored set); the reverse — the
-// naive core succeeding where an optimized one fails — is a bug and
-// fails the test. Runs under the regular and the sanitizer CI jobs.
+// (eager_subsumption = false) must equal — CQ for CQ — the rewriting of
+// the optimized configuration. Seeds whose naive saturation hits the
+// divergence cap are skipped (the optimized core may legitimately
+// terminate where the naive one diverges, since pruning shrinks the
+// explored set); the reverse — the naive core succeeding where the
+// optimized one fails — is a bug and fails the test. Runs under the
+// regular and the sanitizer CI jobs.
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,40 @@ std::string DescribeUcq(const UnionOfCqs& ucq) {
   return out;
 }
 
+// One seeded random single-head program and random CQ over it.
+struct RandomCase {
+  Vocabulary vocab;
+  TgdProgram program;
+  ConjunctiveQuery query;
+};
+
+RandomCase MakeRandomCase(std::uint64_t seed) {
+  RandomCase c;
+  Rng rng(seed);
+  RandomProgramOptions program_options;
+  program_options.num_rules = rng.UniformIn(3, 8);
+  program_options.num_predicates = rng.UniformIn(3, 6);
+  program_options.max_arity = rng.UniformIn(2, 3);
+  program_options.max_body_atoms = rng.UniformIn(1, 3);
+  program_options.max_head_atoms = 1;  // The rewriter is single-head.
+  program_options.existential_prob = 0.3;
+  program_options.repeat_prob = 0.1;
+  program_options.constant_prob = 0.1;
+  c.program = RandomProgram(program_options, &rng, &c.vocab);
+  c.query = RandomCq(c.program, /*num_atoms=*/rng.UniformIn(1, 3),
+                     /*num_answer_vars=*/rng.UniformIn(0, 2), &rng, &c.vocab);
+  return c;
+}
+
+// Runs the naive reference (eager_subsumption = false) for `c`; returns
+// an error when it hits the divergence cap.
+StatusOr<RewriteResult> NaiveReference(const RandomCase& c) {
+  RewriterOptions options;
+  options.max_cqs = 400;
+  options.eager_subsumption = false;
+  return RewriteCq(c.query, c.program, options);
+}
+
 TEST(RewriterEquivalenceTest, OptimizedAndParallelMatchNaive) {
   constexpr int kSeeds = 160;
   constexpr int kRequiredComparisons = 100;
@@ -45,27 +80,9 @@ TEST(RewriterEquivalenceTest, OptimizedAndParallelMatchNaive) {
   int skipped_divergent = 0;
 
   for (int seed = 0; seed < kSeeds; ++seed) {
-    Rng rng(0x5eed0000u + static_cast<std::uint64_t>(seed));
-    Vocabulary vocab;
-    RandomProgramOptions program_options;
-    program_options.num_rules = rng.UniformIn(3, 8);
-    program_options.num_predicates = rng.UniformIn(3, 6);
-    program_options.max_arity = rng.UniformIn(2, 3);
-    program_options.max_body_atoms = rng.UniformIn(1, 3);
-    program_options.max_head_atoms = 1;  // The rewriter is single-head.
-    program_options.existential_prob = 0.3;
-    program_options.repeat_prob = 0.1;
-    program_options.constant_prob = 0.1;
-    TgdProgram program = RandomProgram(program_options, &rng, &vocab);
-    ConjunctiveQuery query =
-        RandomCq(program, /*num_atoms=*/rng.UniformIn(1, 3),
-                 /*num_answer_vars=*/rng.UniformIn(0, 2), &rng, &vocab);
-
-    RewriterOptions naive_options;
-    naive_options.max_cqs = 400;
-    naive_options.eager_subsumption = false;
-    naive_options.threads = 1;
-    StatusOr<RewriteResult> naive = RewriteCq(query, program, naive_options);
+    const RandomCase c =
+        MakeRandomCase(0x5eed0000u + static_cast<std::uint64_t>(seed));
+    StatusOr<RewriteResult> naive = NaiveReference(c);
     if (!naive.ok()) {
       // Divergent (or otherwise capped) seed: nothing to compare against.
       ++skipped_divergent;
@@ -73,29 +90,24 @@ TEST(RewriterEquivalenceTest, OptimizedAndParallelMatchNaive) {
     }
     ++compared;
 
-    for (int threads : {1, 4}) {
-      RewriterOptions optimized_options;
-      optimized_options.max_cqs = 400;
-      optimized_options.threads = threads;
-      StatusOr<RewriteResult> optimized =
-          RewriteCq(query, program, optimized_options);
-      // The optimized core explores a subset of the naive core's CQs, so
-      // it must succeed wherever the naive core does.
-      ASSERT_TRUE(optimized.ok())
-          << "seed " << seed << " threads " << threads << ": "
-          << optimized.status() << "\nquery: " << ToString(query, vocab);
-      ASSERT_EQ(optimized->ucq.size(), naive->ucq.size())
-          << "seed " << seed << " threads " << threads
-          << "\nquery: " << ToString(query, vocab)
-          << "\nnaive:\n" << DescribeUcq(naive->ucq)
-          << "optimized:\n" << DescribeUcq(optimized->ucq);
-      for (std::size_t i = 0; i < naive->ucq.disjuncts().size(); ++i) {
-        EXPECT_EQ(optimized->ucq.disjuncts()[i], naive->ucq.disjuncts()[i])
-            << "seed " << seed << " threads " << threads << " disjunct "
-            << i << "\nnaive:     "
-            << CanonicalCqKey(naive->ucq.disjuncts()[i]) << "\noptimized: "
-            << CanonicalCqKey(optimized->ucq.disjuncts()[i]);
-      }
+    RewriterOptions optimized_options;
+    optimized_options.max_cqs = 400;
+    StatusOr<RewriteResult> optimized =
+        RewriteCq(c.query, c.program, optimized_options);
+    // The optimized core explores a subset of the naive core's CQs, so
+    // it must succeed wherever the naive core does.
+    ASSERT_TRUE(optimized.ok())
+        << "seed " << seed << ": " << optimized.status()
+        << "\nquery: " << ToString(c.query, c.vocab);
+    ASSERT_EQ(optimized->ucq.size(), naive->ucq.size())
+        << "seed " << seed << "\nquery: " << ToString(c.query, c.vocab)
+        << "\nnaive:\n" << DescribeUcq(naive->ucq)
+        << "optimized:\n" << DescribeUcq(optimized->ucq);
+    for (std::size_t i = 0; i < naive->ucq.disjuncts().size(); ++i) {
+      EXPECT_EQ(optimized->ucq.disjuncts()[i], naive->ucq.disjuncts()[i])
+          << "seed " << seed << " disjunct " << i << "\nnaive:     "
+          << CanonicalCqKey(naive->ucq.disjuncts()[i]) << "\noptimized: "
+          << CanonicalCqKey(optimized->ucq.disjuncts()[i]);
     }
   }
   // The generator parameters are tuned so most seeds terminate; make sure
@@ -105,65 +117,46 @@ TEST(RewriterEquivalenceTest, OptimizedAndParallelMatchNaive) {
       << " seeds terminated (skipped " << skipped_divergent << ")";
 }
 
-// The striped-dedup/work-stealing saturation core must produce the same
-// canonical union no matter how the worklist is scheduled. Sweep random
-// programs across thread counts 1/2/8 crossed with eager subsumption
-// on/off, against a naive single-threaded reference (eager off — the
-// configuration with the largest explored set, so every other
-// configuration must terminate wherever it does).
+// The saturation core must produce the same canonical union however it is
+// configured and however often it runs. A second seed family sweeps eager
+// subsumption on/off, each run twice, against the naive reference (eager
+// off — the configuration with the largest explored set, so every other
+// configuration must terminate wherever it does). The core is serial; the
+// sweep once also covered worker-thread counts of the removed pool.
 TEST(RewriterEquivalenceTest, ThreadSweepProducesIdenticalUnions) {
   constexpr int kSeeds = 80;
   constexpr int kRequiredComparisons = 50;
   int compared = 0;
 
   for (int seed = 0; seed < kSeeds; ++seed) {
-    Rng rng(0x7a11e100u + static_cast<std::uint64_t>(seed));
-    Vocabulary vocab;
-    RandomProgramOptions program_options;
-    program_options.num_rules = rng.UniformIn(3, 8);
-    program_options.num_predicates = rng.UniformIn(3, 6);
-    program_options.max_arity = rng.UniformIn(2, 3);
-    program_options.max_body_atoms = rng.UniformIn(1, 3);
-    program_options.max_head_atoms = 1;  // The rewriter is single-head.
-    program_options.existential_prob = 0.3;
-    program_options.repeat_prob = 0.1;
-    program_options.constant_prob = 0.1;
-    TgdProgram program = RandomProgram(program_options, &rng, &vocab);
-    ConjunctiveQuery query =
-        RandomCq(program, /*num_atoms=*/rng.UniformIn(1, 3),
-                 /*num_answer_vars=*/rng.UniformIn(0, 2), &rng, &vocab);
-
-    RewriterOptions reference_options;
-    reference_options.max_cqs = 400;
-    reference_options.eager_subsumption = false;
-    reference_options.threads = 1;
-    StatusOr<RewriteResult> reference =
-        RewriteCq(query, program, reference_options);
+    const RandomCase c =
+        MakeRandomCase(0x7a11e100u + static_cast<std::uint64_t>(seed));
+    StatusOr<RewriteResult> reference = NaiveReference(c);
     if (!reference.ok()) continue;  // Divergent seed: nothing to compare.
     ++compared;
 
-    for (int threads : {1, 2, 8}) {
+    for (int run = 0; run < 2; ++run) {
       for (bool eager : {true, false}) {
         RewriterOptions options;
         options.max_cqs = 400;
-        options.threads = threads;
         options.eager_subsumption = eager;
-        StatusOr<RewriteResult> result = RewriteCq(query, program, options);
+        StatusOr<RewriteResult> result =
+            RewriteCq(c.query, c.program, options);
         ASSERT_TRUE(result.ok())
-            << "seed " << seed << " threads " << threads << " eager "
-            << eager << ": " << result.status()
-            << "\nquery: " << ToString(query, vocab);
+            << "seed " << seed << " run " << run << " eager " << eager
+            << ": " << result.status()
+            << "\nquery: " << ToString(c.query, c.vocab);
         ASSERT_EQ(result->ucq.size(), reference->ucq.size())
-            << "seed " << seed << " threads " << threads << " eager "
-            << eager << "\nquery: " << ToString(query, vocab)
+            << "seed " << seed << " run " << run << " eager " << eager
+            << "\nquery: " << ToString(c.query, c.vocab)
             << "\nreference:\n" << DescribeUcq(reference->ucq)
             << "got:\n" << DescribeUcq(result->ucq);
         for (std::size_t i = 0; i < reference->ucq.disjuncts().size();
              ++i) {
           EXPECT_EQ(result->ucq.disjuncts()[i],
                     reference->ucq.disjuncts()[i])
-              << "seed " << seed << " threads " << threads << " eager "
-              << eager << " disjunct " << i;
+              << "seed " << seed << " run " << run << " eager " << eager
+              << " disjunct " << i;
         }
       }
     }
@@ -173,10 +166,10 @@ TEST(RewriterEquivalenceTest, ThreadSweepProducesIdenticalUnions) {
 }
 
 // All-or-nothing under failure: a rewrite.step fault armed to trip in
-// the middle of the saturation must surface as the injected error at
-// every thread count — never a partial or corrupted union — and a rerun
-// with the fault cleared must still produce the pristine reference
-// result (no state leaks across the failed pool).
+// the middle of the saturation must surface as the injected error —
+// never a partial or corrupted union — and a rerun with the fault
+// cleared must still produce the pristine reference result (no state
+// leaks out of the failed run).
 TEST(RewriterEquivalenceTest, MidSaturationFaultIsAllOrNothing) {
   Vocabulary vocab;
   TgdProgram ontology = UniversityOntology(&vocab);
@@ -184,38 +177,29 @@ TEST(RewriterEquivalenceTest, MidSaturationFaultIsAllOrNothing) {
       "q(X0) :- person(X0), knows(X0, X1), person(X1).", &vocab);
   ASSERT_TRUE(query.ok()) << query.status();
 
-  RewriterOptions clean_options;
-  clean_options.max_cqs = 300000;
-  StatusOr<RewriteResult> reference = RewriteCq(*query, ontology,
-                                                clean_options);
+  RewriterOptions options;
+  options.max_cqs = 300000;
+  StatusOr<RewriteResult> reference = RewriteCq(*query, ontology, options);
   ASSERT_TRUE(reference.ok()) << reference.status();
   ASSERT_GT(reference->generated, 60);  // Room for a mid-saturation trip.
-
-  for (int threads : {1, 2, 8}) {
-    RewriterOptions options = clean_options;
-    options.threads = threads;
-    {
-      FaultPointConfig config;
-      config.after = 50;  // Trips with many iterations still to come.
-      ScopedFault fault("rewrite.step", config);
-      StatusOr<RewriteResult> faulted = RewriteCq(*query, ontology,
-                                                  options);
-      ASSERT_FALSE(faulted.ok()) << "threads " << threads;
-      EXPECT_EQ(faulted.status().code(), StatusCode::kInternal)
-          << "threads " << threads << ": " << faulted.status();
-      EXPECT_NE(faulted.status().message().find("rewrite.step"),
-                std::string::npos)
-          << faulted.status();
-    }
-    StatusOr<RewriteResult> rerun = RewriteCq(*query, ontology, options);
-    ASSERT_TRUE(rerun.ok()) << "threads " << threads << ": "
-                            << rerun.status();
-    ASSERT_EQ(rerun->ucq.size(), reference->ucq.size())
-        << "threads " << threads;
-    for (std::size_t i = 0; i < reference->ucq.disjuncts().size(); ++i) {
-      EXPECT_EQ(rerun->ucq.disjuncts()[i], reference->ucq.disjuncts()[i])
-          << "threads " << threads << " disjunct " << i;
-    }
+  {
+    FaultPointConfig config;
+    config.after = 50;  // Trips with many iterations still to come.
+    ScopedFault fault("rewrite.step", config);
+    StatusOr<RewriteResult> faulted = RewriteCq(*query, ontology, options);
+    ASSERT_FALSE(faulted.ok());
+    EXPECT_EQ(faulted.status().code(), StatusCode::kInternal)
+        << faulted.status();
+    EXPECT_NE(faulted.status().message().find("rewrite.step"),
+              std::string::npos)
+        << faulted.status();
+  }
+  StatusOr<RewriteResult> rerun = RewriteCq(*query, ontology, options);
+  ASSERT_TRUE(rerun.ok()) << rerun.status();
+  ASSERT_EQ(rerun->ucq.size(), reference->ucq.size());
+  for (std::size_t i = 0; i < reference->ucq.disjuncts().size(); ++i) {
+    EXPECT_EQ(rerun->ucq.disjuncts()[i], reference->ucq.disjuncts()[i])
+        << "disjunct " << i;
   }
 }
 

@@ -130,14 +130,6 @@ TEST(RewriterTest, Seed7275RegressionBothAnswers) {
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(answers, expected) << ToString(result->ucq, vocab);
 
-  // Same union under the striped-parallel saturation: IsApplicable is
-  // pure, so the fix must hold on both paths.
-  RewriterOptions parallel;
-  parallel.threads = 4;
-  StatusOr<RewriteResult> striped = RewriteCq(query, program, parallel);
-  ASSERT_TRUE(striped.ok()) << striped.status();
-  EXPECT_EQ(Evaluate(striped->ucq, db), expected);
-
   // And the chase oracle agrees.
   StatusOr<std::vector<Tuple>> cert =
       CertainAnswersViaChase(UnionOfCqs(query), program, db);
@@ -528,64 +520,54 @@ TEST(RewriterTest, NewCqRetiresSubsumedPredecessor) {
                                  MustQuery("q(X) :- s(X, Y).", &vocab)));
 }
 
-TEST(RewriterTest, TinyWorklistStaysInlineDespiteThreadRequest) {
-  // Regression, twice over. Run() used to resolve the pool size against a
-  // sentinel "unbounded" task count, so a 1-disjunct query over a program
-  // whose rules cannot resolve any query atom still spun up a full pool.
-  // Then the estimate alone proved too permissive: any nonzero fan-out
-  // spun up the pool, making sub-millisecond saturations (paper_example1
-  // at threads=4) 3x slower than inline. Tiny estimates now stay inline.
-  Vocabulary vocab;
-  TgdProgram program = MustProgram("s(X, Y) -> t(X).\n", &vocab);
-  ConjunctiveQuery query = MustQuery("q(X) :- u(X).", &vocab);  // No rule.
-  RewriterOptions options;
-  options.threads = 8;
-  StatusOr<RewriteResult> result = RewriteCq(query, program, options);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->threads_used, 1);
-  EXPECT_EQ(result->ucq.size(), 1);
-
-  // A small fan-out estimate with a genuinely small workload: the whole
-  // saturation fits in the inline warmup, so no pool spawns.
-  ConjunctiveQuery fanout = MustQuery("q(X) :- t(X), t(Y).", &vocab);
-  StatusOr<RewriteResult> tiny = RewriteCq(fanout, program, options);
-  ASSERT_TRUE(tiny.ok()) << tiny.status();
-  EXPECT_EQ(tiny->threads_used, 1);
-
-  // And the escape hatch: CompositionFamily(3) also *estimates* tiny
-  // (single-digit first-level fan-out) but saturates into hundreds of
-  // CQs — the warmup detects the backlog and the pool spawns after all.
-  Vocabulary comp_vocab;
-  TgdProgram comp = CompositionFamily(3, &comp_vocab);
-  ConjunctiveQuery deep = MustQuery("q(X, Z) :- r3(X, Z).", &comp_vocab);
-  StatusOr<RewriteResult> wide = RewriteCq(deep, comp, options);
-  ASSERT_TRUE(wide.ok()) << wide.status();
-  EXPECT_GT(wide->threads_used, 1);
-  EXPECT_GT(wide->generated, 100);
-}
-
-TEST(RewriterTest, ParallelSaturationMatchesSequential) {
-  Vocabulary vocab;
-  TgdProgram ontology = UniversityOntology(&vocab);
-  ConjunctiveQuery query = MustQuery(
-      "q(X0) :- person(X0), knows(X0, X1), person(X1).", &vocab);
-  RewriterOptions sequential;
-  sequential.max_cqs = 300000;
-  StatusOr<RewriteResult> one = RewriteCq(query, ontology, sequential);
-  ASSERT_TRUE(one.ok()) << one.status();
-  RewriterOptions parallel = sequential;
-  parallel.threads = 4;
-  // The determinism contract: the produced union is identical across
-  // thread counts and across repeated parallel runs.
-  for (int run = 0; run < 3; ++run) {
-    StatusOr<RewriteResult> four = RewriteCq(query, ontology, parallel);
-    ASSERT_TRUE(four.ok()) << four.status();
-    EXPECT_GE(four->threads_used, 1);
-    ASSERT_EQ(four->ucq.size(), one->ucq.size());
-    for (int i = 0; i < one->ucq.size(); ++i) {
-      EXPECT_EQ(four->ucq.disjuncts()[static_cast<std::size_t>(i)],
-                one->ucq.disjuncts()[static_cast<std::size_t>(i)]);
-    }
+// Pins the saturation's exploration on the six bench_rewriting
+// workloads: CQs kept, steps attempted, candidates pruned and CQs retired
+// are exact, so any change to what the saturation visits (worklist order,
+// dedup, the subsumption gates, the cap) shows up here, not just in the
+// final union.
+TEST(RewriterTest, BenchWorkloadCountersArePinned) {
+  struct Workload {
+    const char* name;
+    TgdProgram (*program)(Vocabulary*);
+    const char* query;
+    int generated;
+    int steps;
+    int pruned;
+    int retired;
+    int ucq;
+  };
+  const Workload workloads[] = {
+      {"paper_example1", PaperExample1, "q(X, Y) :- r(X, Y).", 3, 3, 1, 0,
+       3},
+      {"paper_example3", PaperExample3, "q(X) :- t(X, Y, Z).", 1, 0, 0, 0,
+       1},
+      {"university_q2", UniversityOntology,
+       "q(X0) :- person(X0), knows(X0, X1), person(X1).", 112, 264, 0, 0,
+       100},
+      {"university_q3", UniversityOntology,
+       "q(X0) :- person(X0), knows(X0, X1), person(X1), knows(X1, X2), "
+       "person(X2).",
+       1540, 6694, 127, 0, 1000},
+      {"chain_256",
+       [](Vocabulary* vocab) { return ChainFamily(256, /*arity=*/1, vocab); },
+       "q(X0) :- p256(X0).", 257, 256, 0, 0, 257},
+      {"composition_deep",
+       [](Vocabulary* vocab) { return CompositionFamily(3, vocab); },
+       "q(X, Z) :- r3(X, Z).", 879, 7511, 0, 0, 26},
+  };
+  for (const Workload& workload : workloads) {
+    Vocabulary vocab;
+    TgdProgram program = workload.program(&vocab);
+    RewriterOptions options;
+    options.max_cqs = 300000;
+    StatusOr<RewriteResult> result =
+        RewriteCq(MustQuery(workload.query, &vocab), program, options);
+    ASSERT_TRUE(result.ok()) << workload.name << ": " << result.status();
+    EXPECT_EQ(result->generated, workload.generated) << workload.name;
+    EXPECT_EQ(result->steps, workload.steps) << workload.name;
+    EXPECT_EQ(result->pruned, workload.pruned) << workload.name;
+    EXPECT_EQ(result->retired, workload.retired) << workload.name;
+    EXPECT_EQ(result->ucq.size(), workload.ucq) << workload.name;
   }
 }
 
