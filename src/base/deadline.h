@@ -36,11 +36,21 @@ class Deadline {
 
   static Deadline Infinite() { return Deadline(); }
   static Deadline At(Clock::time_point when) { return Deadline(when); }
+  // A budget reaching past the clock's range (about 292 years of
+  // nanoseconds) saturates to Infinite() instead of overflowing into the
+  // past. Clients send such budgets: the wire's deadline_ms is any int64.
   static Deadline After(Clock::duration budget) {
-    return Deadline(Clock::now() + budget);
+    const Clock::time_point now = Clock::now();
+    if (budget > Clock::time_point::max() - now) return Infinite();
+    return Deadline(now + budget);
   }
   static Deadline AfterMillis(std::int64_t millis) {
-    return After(std::chrono::milliseconds(millis));
+    using std::chrono::milliseconds;
+    constexpr std::int64_t kMaxMillis =
+        std::chrono::duration_cast<milliseconds>(Clock::duration::max())
+            .count();
+    if (millis > kMaxMillis) return Infinite();
+    return After(milliseconds(millis));
   }
 
   bool is_infinite() const { return !has_deadline_; }

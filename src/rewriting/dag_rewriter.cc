@@ -286,7 +286,8 @@ StatusOr<DagRewriteResult> FallbackPath(const UnionOfCqs& query,
   factor_span.Attr("mode", "flat-fallback");
   factor_span.Attr("gate", reason);
   const auto factor_start = Clock::now();
-  StatusOr<DatalogProgram> factored = FactorUcq(flat->ucq, options.factor);
+  StatusOr<DatalogProgram> factored =
+      FactorUcq(flat->ucq, options.rewriter.cancel);
   result.factor_ns = NsSince(factor_start);
   if (!factored.ok()) {
     factor_span.AnnotateStatus(factored.status());
@@ -356,7 +357,6 @@ StatusOr<DagRewriteResult> RewriteToDatalog(const UnionOfCqs& query,
   DagRewriteResult result;
   DatalogProgram prog;
   prog.arity = query.arity();
-  prog.rounds = 1;
   std::unordered_map<std::string, MemoEntry> memo;
 
   // Runs RewriteUcq for a memo miss; pointers into `memo` are stable.

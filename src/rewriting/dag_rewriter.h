@@ -82,8 +82,6 @@ struct DagRewriteOptions {
   // saturations are sub-problems of the flat one, so the effective
   // budget only tightens.
   RewriterOptions rewriter;
-  // Factoring options for the fallback path's FactorUcq pass.
-  DatalogFactorOptions factor;
 };
 
 struct DagRewriteResult {

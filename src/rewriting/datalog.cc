@@ -270,7 +270,7 @@ Status DatalogProgram::Validate() const {
 }
 
 StatusOr<DatalogProgram> FactorUcq(const UnionOfCqs& ucq,
-                                   const DatalogFactorOptions& options) {
+                                   const CancelScope& cancel) {
   OREW_RETURN_IF_ERROR(ucq.Validate());
 
   DatalogProgram program;
@@ -287,7 +287,7 @@ StatusOr<DatalogProgram> FactorUcq(const UnionOfCqs& ucq,
   std::map<std::string, int> aux_by_signature;
 
   for (int round = 0; round < kMaxFactorRounds; ++round) {
-    OREW_RETURN_IF_ERROR(options.cancel.Check("datalog factoring"));
+    OREW_RETURN_IF_ERROR(cancel.Check("datalog factoring"));
 
     // Collect factoring sites across all disjuncts and group by context.
     std::map<std::string, std::vector<FactorSite>> groups;
@@ -383,7 +383,6 @@ StatusOr<DatalogProgram> FactorUcq(const UnionOfCqs& ucq,
     }
 
     if (merged.empty()) break;
-    program.rounds = round + 1;
     std::vector<ConjunctiveQuery> next;
     next.reserve(work.size());
     for (std::size_t d = 0; d < work.size(); ++d) {

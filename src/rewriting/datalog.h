@@ -77,9 +77,8 @@ struct DatalogProgram {
   std::vector<DatalogAux> aux;
   std::vector<DatalogRule> output;
 
-  // Factoring statistics (for trace spans and bench rows).
+  // Factoring statistic (for trace spans and bench rows).
   int input_disjuncts = 0;
-  int rounds = 0;
 
   int cte_count() const { return static_cast<int>(aux.size()); }
   int total_rules() const;
@@ -89,18 +88,13 @@ struct DatalogProgram {
   Status Validate() const;
 };
 
-struct DatalogFactorOptions {
-  // Checked between factoring rounds.
-  CancelScope cancel;
-};
-
 // Factors `ucq` into an equivalent nonrecursive Datalog program. Always
 // succeeds on a valid UCQ; when nothing is shared the result has no aux
 // predicates and one output rule per input disjunct (the CTE emission
-// then degenerates to the plain UNION). Errors on an invalid UCQ or
-// cancellation.
+// then degenerates to the plain UNION). Errors on an invalid UCQ or when
+// `cancel` trips (checked between factoring rounds).
 StatusOr<DatalogProgram> FactorUcq(const UnionOfCqs& ucq,
-                                   const DatalogFactorOptions& options = {});
+                                   const CancelScope& cancel = {});
 
 // Expands every aux atom away, recovering a flat UCQ equivalent to the
 // program (and, for programs produced by FactorUcq, CQ-for-CQ equivalent
@@ -116,8 +110,8 @@ std::string DatalogToString(const DatalogProgram& program,
 // Which destination format a rewriting is compiled to. kUcq is the
 // paper's flat union (rewriting/sql.h); kCte factors through
 // nonrecursive Datalog and emits WITH-CTE SQL (rewriting/cte_sql.h).
-// Threaded through AnswerEngineOptions/ServeOptions and the wire
-// protocol's `target=` option.
+// Chosen per request (ServeOptions::target, the wire protocol's
+// `target=` option); kUcq by default.
 enum class RewriteTarget { kUcq, kCte };
 
 // Stable lowercase name ("ucq" | "cte") — wire option values and cache

@@ -40,6 +40,10 @@ constexpr std::size_t kMaxQueuedConnections = 64;
 // (quota sheds use the bucket's exact refill time instead).
 constexpr std::int64_t kDefaultRetryAfterMs = 25;
 
+// Brownout level 1 (drop requested traces) starts once this fraction of
+// the global slots is busy; a request's own slot counts.
+constexpr double kShedTracingRatio = 0.75;
+
 constexpr char kDrainingMessage[] = "server is draining — retry after backoff";
 
 bool WriteAll(int fd, std::string_view data) {
@@ -245,9 +249,7 @@ int OntologyServer::brownout_level() const {
   const double ratio =
       static_cast<double>(gate_.inflight()) /
       static_cast<double>(options_.max_inflight_global);
-  if (ratio >= options_.shed_optional_ratio) return 2;
-  if (ratio >= options_.shed_tracing_ratio) return 1;
-  return 0;
+  return ratio >= kShedTracingRatio ? 1 : 0;
 }
 
 std::vector<std::string> OntologyServer::tenant_names() const {
@@ -352,11 +354,10 @@ OntologyServer::Reply OntologyServer::HandleQuery(
 
 OntologyServer::Reply OntologyServer::ServeAdmitted(
     Tenant& tenant, const WireRequest& request, const Deadline& deadline) {
-  // Brownout ladder: under sustained load shed cheap optional work
-  // before ever shedding a request.
-  const int level = brownout_level();
+  // Brownout: under sustained load shed requested traces before ever
+  // shedding a request.
   bool trace_wanted = request.trace;
-  if (trace_wanted && level >= 1) {
+  if (trace_wanted && brownout_level() >= 1) {
     shed_tracing_.Increment();
     trace_wanted = false;
   }
@@ -364,10 +365,6 @@ OntologyServer::Reply OntologyServer::ServeAdmitted(
   serve.deadline = deadline;
   serve.cancel = drain_cancel_;
   serve.target = request.target;
-  if (level >= 2) {
-    shed_minimize_.Increment();
-    serve.shed_optional_work = true;
-  }
   Trace trace;
   if (trace_wanted) serve.trace = &trace;
 

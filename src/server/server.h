@@ -49,17 +49,15 @@
 // errors and unknown tenants are not (see IsRetryableStatusCode).
 //
 // Graceful degradation is a brownout ladder driven by the global
-// inflight ratio — shed cheap optional work before shedding requests:
-//   level 1 (>= shed_tracing_ratio)   drop requested traces;
-//   level 2 (>= shed_optional_ratio)  additionally skip the rewriter's
-//                                     final containment minimization
-//                                     (ServeOptions::shed_optional_work
-//                                     — answers unchanged, results never
-//                                     published to the shared cache);
-//   level 3                           the admission queue itself sheds,
-//                                     with structured retry-after errors.
-// The chase fallback stays gated on weak acyclicity exactly as in
-// AnswerEngine — brownout never changes answer semantics.
+// inflight ratio — shed optional work before shedding requests:
+//   level 1 (>= 75% of the global slots busy)  drop requested traces;
+//   beyond                                     the admission queue itself
+//                                              sheds, with structured
+//                                              retry-after errors.
+// Brownout never touches the rewriting: every admitted request is served
+// the complete, minimized rewriting, and a miss publishes it to the
+// shared cache. The chase fallback stays gated on weak acyclicity
+// exactly as in AnswerEngine — brownout never changes answer semantics.
 //
 // Shutdown(drain) is a graceful drain: new requests get a retryable
 // Unavailable shed response immediately, inflight requests get up to the
@@ -77,9 +75,9 @@
 //             server_shed_global, server_queue_deadline,
 //             server_shed_draining, server_shed_queue_full,
 //             server_accept_faults, server_read_faults,
-//             brownout_shed_tracing, brownout_shed_minimize
-//   gauges    server_inflight, brownout_level (both read live from the
-//             global gate at Snapshot time)
+//             brownout_shed_tracing
+//   gauges    server_inflight, brownout_level (0 or 1; both read live
+//             from the global gate at Snapshot time)
 
 namespace ontorew {
 
@@ -109,7 +107,8 @@ struct TenantSpec {
   // vocabulary).
   bool use_sqlite = false;
   // Per-tenant engine tuning. shared_cache, and (when use_sqlite) the
-  // backend, are overwritten by the server.
+  // backend, are overwritten by the server. The rewriting itself is the
+  // same for every tenant (see AnswerEngineOptions::max_cqs).
   AnswerEngineOptions engine;
 };
 
@@ -122,10 +121,6 @@ struct OntologyServerOptions {
   std::size_t max_inflight_global = 32;
   // How long a request may queue for a global slot before shedding.
   std::chrono::nanoseconds admission_timeout = std::chrono::milliseconds(100);
-  // Brownout thresholds as fractions of max_inflight_global (ignored
-  // when the global cap is unlimited).
-  double shed_tracing_ratio = 0.75;
-  double shed_optional_ratio = 0.9;
   // Capacity of the cross-tenant shared rewrite cache.
   std::size_t shared_cache_capacity = 512;
 };
@@ -163,7 +158,8 @@ class OntologyServer {
     return shared_cache_->stats();
   }
   std::size_t inflight() const { return gate_.inflight(); }
-  // 0 = healthy, 1 = shedding traces, 2 = also shedding minimization.
+  // 0 = healthy, 1 = shedding traces: at least 75% of the global slots
+  // are busy (never, when the global cap is unlimited).
   int brownout_level() const;
   std::vector<std::string> tenant_names() const;
 
@@ -265,7 +261,6 @@ class OntologyServer {
   Counter& accept_faults_ = metrics_.RegisterCounter("server_accept_faults");
   Counter& read_faults_ = metrics_.RegisterCounter("server_read_faults");
   Counter& shed_tracing_ = metrics_.RegisterCounter("brownout_shed_tracing");
-  Counter& shed_minimize_ = metrics_.RegisterCounter("brownout_shed_minimize");
 };
 
 }  // namespace ontorew

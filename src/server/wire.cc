@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 
 #include "base/strings.h"
 
@@ -35,15 +36,21 @@ bool ConsumeKey(std::string_view token, std::string_view key,
   return true;
 }
 
+// A non-negative decimal. The bound is checked before the multiply, so a
+// digit run of any length is a typed error, never a signed overflow.
 StatusOr<std::int64_t> ParseInt(std::string_view text, std::string_view what) {
   if (text.empty()) return InvalidArgumentError(StrCat("empty ", what));
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
   std::int64_t value = 0;
   for (char c : text) {
     if (c < '0' || c > '9') {
       return InvalidArgumentError(StrCat("bad ", what, ": '", text, "'"));
     }
-    value = value * 10 + (c - '0');
-    if (value < 0) return InvalidArgumentError(StrCat(what, " overflows"));
+    const int digit = c - '0';
+    if (value > (kMax - digit) / 10) {
+      return InvalidArgumentError(StrCat(what, " overflows"));
+    }
+    value = value * 10 + digit;
   }
   return value;
 }
@@ -127,10 +134,13 @@ std::string FormatOkHeader(std::size_t rows, std::string_view cache,
 
 std::string FormatErrHeader(const Status& status,
                             std::int64_t retry_after_ms) {
+  // The parser skips the spaces before the message, so the message is
+  // written without them: it then reads back exactly as written.
+  std::string message = SanitizeLine(status.message());
+  message.erase(0, message.find_first_not_of(' '));
   return StrCat("ERR code=", StatusCodeName(status.code()),
                 " retryable=", IsRetryableStatusCode(status.code()) ? 1 : 0,
-                " retry_after_ms=", retry_after_ms, " ",
-                SanitizeLine(status.message()), "\n");
+                " retry_after_ms=", retry_after_ms, " ", message, "\n");
 }
 
 StatusCode StatusCodeFromName(std::string_view name) {
@@ -195,6 +205,10 @@ StatusOr<WireResponse> ParseWireResponse(
       StatusOr<std::int64_t> parsed = ParseInt(value, "retry_after_ms");
       if (!parsed.ok()) return parsed.status();
       response.retry_after_ms = *parsed;
+      // FormatErrHeader writes it last: the message follows, even when it
+      // starts with something that looks like an option.
+      rest = probe;
+      break;
     } else {
       break;  // Message text begins here.
     }

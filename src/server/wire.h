@@ -2,7 +2,6 @@
 #define ONTOREW_SERVER_WIRE_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,10 +46,10 @@ struct WireRequest {
   std::string tenant;            // QUERY only.
   std::int64_t deadline_ms = 0;  // 0 = no deadline.
   bool trace = false;            // Request a span-tree dump (may be shed).
-  // Rewrite target override ("target=ucq|cte"): cte asks the engine to
-  // factor the rewriting and run it as WITH-CTE SQL (see
-  // AnswerEngineOptions::target). Unset keeps the tenant's default.
-  std::optional<RewriteTarget> target;
+  // Rewrite target ("target=ucq|cte", default ucq): cte asks the engine
+  // to factor the rewriting and run it as WITH-CTE SQL (see
+  // ServeOptions::target).
+  RewriteTarget target = RewriteTarget::kUcq;
   std::string query;             // Raw query text, QUERY only.
 };
 
@@ -81,7 +80,9 @@ std::string FormatOkHeader(std::size_t rows, std::string_view cache,
 
 // "ERR code=... retryable=... retry_after_ms=... <message>\n" with the
 // retryable bit derived from the status code. `retry_after_ms` is the
-// server's backoff hint (0 = client's choice).
+// server's backoff hint (0 = client's choice). The message is everything
+// after retry_after_ms, newline-sanitized, so ParseWireResponse reads it
+// back as written.
 std::string FormatErrHeader(const Status& status, std::int64_t retry_after_ms);
 
 inline constexpr std::string_view kWireEnd = "END";

@@ -4,6 +4,7 @@
 
 #include "base/fault_point.h"
 #include "base/strings.h"
+#include "chase/chase.h"
 #include "classes/weakly_acyclic.h"
 #include "logic/canonical.h"
 #include "rewriting/cte_sql.h"
@@ -186,9 +187,9 @@ bool AnswerEngine::ChaseTerminates() const {
 }
 
 StatusOr<std::shared_ptr<const CachedRewriting>> AnswerEngine::RewriteInternal(
-    const UnionOfCqs& query, const CancelScope& cancel,
+    const UnionOfCqs& query, const CancelScope& scope,
     const TraceContext& trace, bool* cache_hit, const Snapshot& snap,
-    RewriteTarget target, bool shed_optional_work) {
+    RewriteTarget target) {
   if (cache_hit != nullptr) *cache_hit = false;
 
   std::string key;
@@ -221,33 +222,18 @@ StatusOr<std::shared_ptr<const CachedRewriting>> AnswerEngine::RewriteInternal(
     TraceSpan rewrite_span(
         trace, "rewrite",
         target == RewriteTarget::kUcq ? &rewrite_ns_ : nullptr);
-    RewriterOptions rewriter = options_.rewriter;
-    // The per-request scope tightens whatever the engine-wide options
-    // carry: the earlier deadline wins, the request token applies.
-    rewriter.cancel = CancelScope(
-        Deadline::Earlier(rewriter.cancel.deadline(), cancel.deadline()),
-        cancel.token() != nullptr ? cancel.token()
-                                  : rewriter.cancel.token());
+    RewriterOptions rewriter;
+    rewriter.max_cqs = options_.max_cqs;
+    rewriter.cancel = scope;
     rewriter.trace = rewrite_span.context();
-    if (shed_optional_work) {
-      // Brownout: skip the final containment minimization. The union is
-      // still sound and complete — minimization only removes redundant
-      // disjuncts — so answers are unchanged; only CPU is saved.
-      rewriter.minimize = false;
-      degraded_.Increment();
-      rewrite_span.Attr("degraded", "no-minimize");
-    }
     if (target == RewriteTarget::kCte) {
       // DAG-native compilation: the saturator emits the factored Datalog
       // program directly (per-group memoized saturation + a "factor"
       // assembly span inside), never materializing the flat union — the
       // entry caches the program alone. Data-independent like the flat
       // rewriting, so it is computed once per cache entry.
-      DagRewriteOptions dag_options;
-      dag_options.rewriter = rewriter;
-      dag_options.factor.cancel = rewriter.cancel;
       StatusOr<DagRewriteResult> dag =
-          RewriteToDatalog(query, *snap.program, dag_options);
+          RewriteToDatalog(query, *snap.program, {.rewriter = rewriter});
       if (!dag.ok()) {
         rewrite_span.AnnotateStatus(dag.status());
         return dag.status();
@@ -279,14 +265,9 @@ StatusOr<std::shared_ptr<const CachedRewriting>> AnswerEngine::RewriteInternal(
     }
   }
 
-  std::shared_ptr<const CachedRewriting> rewriting = std::move(entry);
-  if (shed_optional_work) {
-    // An unminimized rewriting must not be published: the cache (possibly
-    // shared across tenants) only ever holds canonical, minimized unions.
-    return rewriting;
-  }
   std::int64_t evictions = 0;
-  rewriting = cache_->Insert(key, std::move(rewriting), &evictions);
+  std::shared_ptr<const CachedRewriting> rewriting =
+      cache_->Insert(key, std::move(entry), &evictions);
   if (evictions > 0) evictions_.Increment(evictions);
   return rewriting;
 }
@@ -321,9 +302,7 @@ StatusOr<AnswerResult> AnswerEngine::Serve(const UnionOfCqs& query,
   }
 
   StatusOr<AnswerResult> result =
-      ServeAdmitted(query, scope, serve_span.context(),
-                    serve.target.value_or(options_.target),
-                    serve.shed_optional_work);
+      ServeAdmitted(query, scope, serve_span.context(), serve.target);
   gate_.Release();
   record_status(result.ok() ? StatusCode::kOk : result.status().code());
   if (!result.ok()) {
@@ -337,8 +316,7 @@ StatusOr<AnswerResult> AnswerEngine::Serve(const UnionOfCqs& query,
 
 StatusOr<AnswerResult> AnswerEngine::ServeAdmitted(
     const UnionOfCqs& query, const CancelScope& scope,
-    const TraceContext& trace, RewriteTarget target,
-    bool shed_optional_work) {
+    const TraceContext& trace, RewriteTarget target) {
   // Fast-fail a request that arrived already out of budget, and give
   // tests a hook that holds an admitted request in flight.
   OREW_RETURN_IF_ERROR(scope.Check("serve"));
@@ -352,8 +330,7 @@ StatusOr<AnswerResult> AnswerEngine::ServeAdmitted(
 
   AnswerResult result;
   StatusOr<std::shared_ptr<const CachedRewriting>> rewriting =
-      RewriteInternal(query, scope, trace, &result.cache_hit, snap, target,
-                      shed_optional_work);
+      RewriteInternal(query, scope, trace, &result.cache_hit, snap, target);
   if (!rewriting.ok()) {
     // Graceful degradation: a rewrite that ran out of budget (deadline or
     // divergence cap) on a chase-terminating program can still be
@@ -362,7 +339,7 @@ StatusOr<AnswerResult> AnswerEngine::ServeAdmitted(
         ChaseTerminates()) {
       TraceSpan chase_span(trace, "chase");
       chase_span.Attr("fallback", "chase");
-      ChaseOptions chase_options = options_.fallback_chase;
+      ChaseOptions chase_options;
       chase_options.cancel = scope;
       chase_options.trace = chase_span.context();
       StatusOr<std::vector<Tuple>> answers =
@@ -390,13 +367,10 @@ StatusOr<AnswerResult> AnswerEngine::ServeAdmitted(
   }
   Backend& backend = *options_.backend;
   eval_span.Attr("backend", backend.name());
+  // drop_tuples_with_nulls keeps its default: answers containing labeled
+  // nulls are not certain.
   BackendExecOptions exec;
-  exec.drop_tuples_with_nulls = options_.eval.drop_tuples_with_nulls;
-  // The per-request scope tightens the engine-wide eval options.
-  exec.cancel = CancelScope(
-      Deadline::Earlier(options_.eval.cancel.deadline(), scope.deadline()),
-      scope.token() != nullptr ? scope.token()
-                               : options_.eval.cancel.token());
+  exec.cancel = scope;
   exec.num_threads = options_.num_threads;
   exec.trace = eval_span.context();
   // Under kCte the factored program goes to the backend natively (a SQL
@@ -427,7 +401,7 @@ StatusOr<ExplainResult> AnswerEngine::Explain(const UnionOfCqs& query,
   TraceSpan root(TraceContext(explain.trace.get()), "explain");
 
   const Snapshot snap = CurrentSnapshot();
-  explain.target = serve.target.value_or(options_.target);
+  explain.target = serve.target;
   StatusOr<std::shared_ptr<const CachedRewriting>> rewriting = RewriteInternal(
       query, scope, root.context(), &explain.cache_hit, snap, explain.target);
   if (!rewriting.ok()) {

@@ -18,7 +18,6 @@
 #include "base/status.h"
 #include "base/strings.h"
 #include "base/trace.h"
-#include "chase/chase.h"
 #include "db/database.h"
 #include "db/eval.h"
 #include "logic/program.h"
@@ -38,6 +37,13 @@
 // sharing the engine's Database unless the caller configures another —
 // and records per-stage counters/timers in a MetricsRegistry, through
 // handles registered at construction.
+//
+// One way to serve a rewriting: every request evaluates the complete,
+// minimized rewriting. A cache miss saturates under the request's own
+// deadline and token and publishes its result; no engine or request
+// option alters the rewriting (max_cqs only bounds it), so the cache key
+// (fingerprint, target, canonical query) names exactly one artifact that
+// every tenant sharing the cache may trust.
 //
 // Overload safety (see DESIGN.md "Serving layer"): Serve takes a
 // per-request ServeOptions with an absolute deadline and an optional
@@ -64,8 +70,8 @@
 //             rewrite_cache_eviction, rewrite_pruned_total,
 //             eval_tuples_examined, eval_matches, deadline_exceeded,
 //             requests_shed, admission_queue_deadline,
-//             fallback_chase_served, rewrite_degraded, rewrite_factored,
-//             rewrite_dag, rewrite_dag_fallback,
+//             fallback_chase_served, rewrite_factored, rewrite_dag,
+//             rewrite_dag_fallback,
 //             backend_<name>_exec, backend_<name>_load,
 //             requests_by_status_<CodeName> (one per final Serve status)
 //   gauges    inflight (read from the admission gate at Snapshot time)
@@ -87,22 +93,12 @@ struct AnswerEngineOptions {
   std::shared_ptr<RewriteCache> shared_cache;
   // Worker threads for UCQ evaluation (BackendExecOptions::num_threads).
   int num_threads = 0;
-  RewriterOptions rewriter;
-  // Default rewrite target (per-request override: ServeOptions::target).
-  // kUcq evaluates the flat union; kCte compiles straight to a
-  // nonrecursive Datalog program (rewriting/dag_rewriter.h) — per-group
-  // memoized saturation that never materializes the flat union — and, on
-  // a SQL backend, executes it as one WITH-CTE statement instead of the
-  // flat UNION. Both targets answer identically; kCte is exponentially
-  // cheaper on queries with independently-rewritable subgoals (and no
-  // worse elsewhere, where it falls back to flat rewriting plus
-  // FactorUcq). Factored programs are cached under target-qualified keys
-  // holding the program alone, so the two targets never alias in the
-  // (possibly shared) cache.
-  RewriteTarget target = RewriteTarget::kUcq;
-  // Certain-answer semantics: answers containing labeled nulls are not
-  // certain, so they are dropped by default.
-  EvalOptions eval{.drop_tuples_with_nulls = true, .cancel = {}};
+  // Divergence cap of every saturation (RewriterOptions::max_cqs). The
+  // only rewriting knob: the rest of RewriterOptions changes the
+  // rewriting itself, which the cache key does not record, so every
+  // engine rewrites with their defaults — a complete, minimized union.
+  // A rewrite that hits the cap is an error, never cached.
+  int max_cqs = 20000;
 
   // --- Execution backend ---------------------------------------------------
   // Where the rewriting runs. Null (the default) installs an
@@ -129,11 +125,9 @@ struct AnswerEngineOptions {
   // --- Graceful degradation ------------------------------------------------
   // When the rewriting is cut short (deadline or divergence cap) but the
   // program is weakly acyclic — so the chase provably terminates — answer
-  // via the chase instead of failing (`fallback_chase_served` counter).
+  // via the chase (default ChaseOptions, under the request's deadline and
+  // token) instead of failing (`fallback_chase_served` counter).
   bool chase_fallback = false;
-  // Caps for that fallback chase (its cancel scope is overridden by the
-  // request's).
-  ChaseOptions fallback_chase;
 };
 
 // Per-request controls for Serve.
@@ -152,15 +146,17 @@ struct ServeOptions {
   // open spans) on every exit path, including errors. Null (the default)
   // costs one pointer test per hook.
   Trace* trace = nullptr;
-  // Brownout (graceful degradation under sustained load, set by the
-  // server's load ladder): skip optional work on this request. A cache
-  // miss then rewrites WITHOUT the final containment minimization — the
-  // union stays sound and complete, just possibly larger — and the
-  // unminimized result is NOT published to the (possibly shared) cache,
-  // so brownouts never pollute it. Answers are unchanged either way.
-  bool shed_optional_work = false;
-  // Per-request rewrite target; unset uses AnswerEngineOptions::target.
-  std::optional<RewriteTarget> target;
+  // What the rewriting is compiled to. kUcq evaluates the flat union;
+  // kCte compiles straight to a nonrecursive Datalog program
+  // (rewriting/dag_rewriter.h) — per-group memoized saturation that never
+  // materializes the flat union — and, on a SQL backend, executes it as
+  // one WITH-CTE statement instead of the flat UNION. Both targets answer
+  // identically; kCte is exponentially cheaper on queries with
+  // independently-rewritable subgoals (and no worse elsewhere, where it
+  // falls back to flat rewriting plus FactorUcq). Factored programs are
+  // cached under target-qualified keys holding the program alone, so the
+  // two targets never alias in the (possibly shared) cache.
+  RewriteTarget target = RewriteTarget::kUcq;
 };
 
 // One served query, with provenance for tools and benches.
@@ -298,19 +294,17 @@ class AnswerEngine {
   // Rewrite against a pinned snapshot, reporting whether the cache served
   // it (directly, not via racy counter deltas) and recording
   // canonicalize / rewrite-cache / rewrite (and, under kCte, factor)
-  // spans under `trace`. `shed_optional_work` skips the final
-  // minimization and the cache publish (see
-  // ServeOptions::shed_optional_work).
+  // spans under `trace`. A miss saturates under the request's `scope`
+  // and publishes the complete, minimized result to the cache.
   StatusOr<std::shared_ptr<const CachedRewriting>> RewriteInternal(
-      const UnionOfCqs& query, const CancelScope& cancel,
+      const UnionOfCqs& query, const CancelScope& scope,
       const TraceContext& trace, bool* cache_hit, const Snapshot& snap,
-      RewriteTarget target, bool shed_optional_work = false);
+      RewriteTarget target);
 
   StatusOr<AnswerResult> ServeAdmitted(const UnionOfCqs& query,
                                        const CancelScope& scope,
                                        const TraceContext& trace,
-                                       RewriteTarget target,
-                                       bool shed_optional_work);
+                                       RewriteTarget target);
 
   // The current snapshot's parts: read/swapped under mutex_; the pointees
   // are immutable. The accessors above dereference without the lock —
@@ -344,7 +338,6 @@ class AnswerEngine {
   Counter& cache_miss_ = metrics_.RegisterCounter("rewrite_cache_miss");
   Counter& evictions_ = metrics_.RegisterCounter("rewrite_cache_eviction");
   Counter& pruned_ = metrics_.RegisterCounter("rewrite_pruned_total");
-  Counter& degraded_ = metrics_.RegisterCounter("rewrite_degraded");
   Counter& factored_ = metrics_.RegisterCounter("rewrite_factored");
   Counter& dag_ = metrics_.RegisterCounter("rewrite_dag");
   Counter& dag_fallback_ = metrics_.RegisterCounter("rewrite_dag_fallback");

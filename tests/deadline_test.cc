@@ -4,6 +4,8 @@
 // rely on.
 
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <thread>
 
@@ -37,6 +39,24 @@ TEST(DeadlineTest, FutureDeadlineHasRemainingBudget) {
   Deadline future = Deadline::AfterMillis(60'000);
   EXPECT_FALSE(future.expired());
   EXPECT_GT(future.remaining(), milliseconds(59'000));
+}
+
+TEST(DeadlineTest, BudgetsPastTheClockRangeSaturate) {
+  // 1e13 ms (~317 years) overflows a nanosecond steady_clock: it must read
+  // as no deadline, not as one already in the past.
+  for (std::int64_t millis :
+       {std::int64_t{10'000'000'000'000},
+        std::numeric_limits<std::int64_t>::max()}) {
+    Deadline far = Deadline::AfterMillis(millis);
+    EXPECT_TRUE(far.is_infinite()) << millis;
+    EXPECT_FALSE(far.expired()) << millis;
+  }
+  EXPECT_TRUE(Deadline::After(Deadline::Clock::duration::max()).is_infinite());
+
+  // A long but representable budget stays finite and unexpired.
+  Deadline year = Deadline::AfterMillis(365LL * 24 * 3600 * 1000);
+  EXPECT_FALSE(year.is_infinite());
+  EXPECT_FALSE(year.expired());
 }
 
 TEST(DeadlineTest, EarlierPicksTheTighterDeadline) {

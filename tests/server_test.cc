@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <future>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -106,21 +108,19 @@ TEST(WireTest, TargetOptionParses) {
   StatusOr<WireRequest> cte = ParseWireRequest(
       "QUERY tenant=uni target=cte q(X) :- person(X).");
   ASSERT_TRUE(cte.ok()) << cte.status();
-  ASSERT_TRUE(cte->target.has_value());
-  EXPECT_EQ(*cte->target, RewriteTarget::kCte);
+  EXPECT_EQ(cte->target, RewriteTarget::kCte);
   EXPECT_EQ(cte->query, "q(X) :- person(X).");
 
   StatusOr<WireRequest> ucq = ParseWireRequest(
       "QUERY tenant=uni target=ucq deadline_ms=50 q(X) :- person(X).");
   ASSERT_TRUE(ucq.ok()) << ucq.status();
-  ASSERT_TRUE(ucq->target.has_value());
-  EXPECT_EQ(*ucq->target, RewriteTarget::kUcq);
+  EXPECT_EQ(ucq->target, RewriteTarget::kUcq);
 
-  // Unset keeps the tenant default.
+  // Unset is the flat union.
   StatusOr<WireRequest> plain =
       ParseWireRequest("QUERY tenant=uni q(X) :- person(X).");
   ASSERT_TRUE(plain.ok());
-  EXPECT_FALSE(plain->target.has_value());
+  EXPECT_EQ(plain->target, RewriteTarget::kUcq);
 }
 
 TEST(WireTest, MalformedRequestsAreInvalidArgument) {
@@ -134,6 +134,31 @@ TEST(WireTest, MalformedRequestsAreInvalidArgument) {
     ASSERT_FALSE(request.ok()) << bad;
     EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument) << bad;
     EXPECT_FALSE(IsRetryableStatusCode(request.status().code()));
+  }
+}
+
+TEST(WireTest, OverlongNumbersAreInvalidArgumentNotOverflow) {
+  StatusOr<WireRequest> max = ParseWireRequest(
+      "QUERY tenant=a deadline_ms=9223372036854775807 q(X) :- p(X).");
+  ASSERT_TRUE(max.ok()) << max.status();
+  EXPECT_EQ(max->deadline_ms, std::numeric_limits<std::int64_t>::max());
+
+  for (const char* digits :
+       {"9223372036854775808", "99999999999999999999",
+        "000000000000000000000000000009223372036854775808"}) {
+    StatusOr<WireRequest> request = ParseWireRequest(
+        std::string("QUERY tenant=a deadline_ms=") + digits + " q(X) :- p(X).");
+    ASSERT_FALSE(request.ok()) << digits;
+    EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(request.status().message().find("overflows"), std::string::npos)
+        << request.status();
+
+    StatusOr<WireResponse> response = ParseWireResponse(
+        std::string("ERR code=Unavailable retryable=1 retry_after_ms=") +
+            digits + " busy",
+        {});
+    ASSERT_FALSE(response.ok()) << digits;
+    EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
@@ -460,9 +485,7 @@ TEST_F(ServerTest, BrownoutShedsTracingBeforeShedingRequests) {
   OntologyServerOptions options;
   options.max_inflight_global = 2;
   // A request's own slot counts toward the ratio: one inflight request
-  // (1/2 = 0.5) stays healthy, two (2/2 = 1.0) trip both rungs.
-  options.shed_tracing_ratio = 0.75;
-  options.shed_optional_ratio = 1.0;
+  // (1/2 = 0.5) stays healthy, two (2/2 = 1.0) trip the tracing rung.
   OntologyServer server(options);
   ASSERT_TRUE(server
                   .AddTenant({.name = "uni",
@@ -509,6 +532,58 @@ TEST_F(ServerTest, BrownoutShedsTracingBeforeShedingRequests) {
       server.ServeLine("QUERY tenant=uni trace=1 q(X) :- person(X)."));
   ASSERT_TRUE(traced.status.ok());
   EXPECT_FALSE(traced.info.empty());
+}
+
+TEST_F(ServerTest, BrownoutStillServesAndPublishesTheMinimizedRewriting) {
+  OntologyServerOptions options;
+  options.max_inflight_global = 2;
+  OntologyServer server(options);
+  ASSERT_TRUE(server
+                  .AddTenant({.name = "uni",
+                              .program_text = kUniversityProgram,
+                              .facts_text = kUniversityFacts})
+                  .ok());
+  HeldRequest held;
+  ScopedFault fault("serve.admit", held.Config());
+  std::optional<WireResponse> first;
+  std::thread holder([&] {
+    first =
+        MustParse(server.ServeLine("QUERY tenant=uni q(X) :- employee(X)."));
+  });
+  held.reached.wait();
+
+  // Every request below runs with both global slots busy — brownout. A
+  // cold miss still rewrites completely and publishes the result, so
+  // the repeat is a cache hit with the same rows.
+  const char* cold = "QUERY tenant=uni q(X) :- person(X).";
+  const WireResponse miss = MustParse(server.ServeLine(cold));
+  ASSERT_TRUE(miss.status.ok()) << miss.status;
+  EXPECT_FALSE(miss.cache_hit);
+  EXPECT_EQ(miss.rows, (std::vector<std::string>{"(ada)", "(turing)"}));
+  const WireResponse hit = MustParse(server.ServeLine(cold));
+  ASSERT_TRUE(hit.status.ok()) << hit.status;
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.rows, miss.rows);
+
+  held.release_promise.set_value();
+  holder.join();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_TRUE(first->status.ok()) << first->status;
+}
+
+TEST_F(ServerTest, FarFutureDeadlineIsNoDeadline) {
+  OntologyServer server;
+  ASSERT_TRUE(server
+                  .AddTenant({.name = "uni",
+                              .program_text = kUniversityProgram,
+                              .facts_text = kUniversityFacts})
+                  .ok());
+  // 1e13 ms overflows the nanosecond steady clock; the budget saturates
+  // to "no deadline" instead of wrapping into the past.
+  const WireResponse far = MustParse(server.ServeLine(
+      "QUERY tenant=uni deadline_ms=10000000000000 q(X) :- person(X)."));
+  ASSERT_TRUE(far.status.ok()) << far.status;
+  EXPECT_EQ(far.rows, (std::vector<std::string>{"(ada)", "(turing)"}));
 }
 
 TEST_F(ServerTest, GracefulDrainShedsNewWorkAndFinishesInflight) {

@@ -222,7 +222,7 @@ TEST(AnswerEngineTest, RewriteErrorsPropagateAndAreNotCached) {
   // hits the cap.
   TgdProgram program = PaperExample2(&vocab);
   AnswerEngineOptions options;
-  options.rewriter.max_cqs = 500;
+  options.max_cqs = 500;
   AnswerEngine engine(program, Database(), options);
   ConjunctiveQuery query = MustQuery("q() :- r(\"a\", X).", &vocab);
 
@@ -378,7 +378,7 @@ TEST(AnswerEngineTest, DeadlinedServeOnDivergentWorkloadFailsFast) {
   TgdProgram program = PaperExample2(&vocab);
   AnswerEngineOptions options;
   // Make the deadline — not the CQ cap — the binding constraint.
-  options.rewriter.max_cqs = 50'000'000;
+  options.max_cqs = 50'000'000;
   AnswerEngine engine(program, Database(), options);
   ConjunctiveQuery query = MustQuery("q() :- r(\"a\", X).", &vocab);
 
@@ -578,7 +578,7 @@ TEST(AnswerEngineTest, FallsBackToChaseWhenRewriteBudgetFires) {
   ASSERT_TRUE(expected.ok());
 
   AnswerEngineOptions options;
-  options.rewriter.max_cqs = 1;  // Any real rewriting blows this budget.
+  options.max_cqs = 1;  // Any real rewriting blows this budget.
   options.chase_fallback = true;
   AnswerEngine engine(ontology, db, options);
   EXPECT_TRUE(engine.ChaseTerminates());
@@ -610,7 +610,7 @@ TEST(AnswerEngineTest, FallbackRefusedWhenChaseMayDiverge) {
   program.Add(MustTgd("u(X, Y) -> u(Y, Z).", &vocab));
   ASSERT_FALSE(IsWeaklyAcyclic(program));
   AnswerEngineOptions options;
-  options.rewriter.max_cqs = 100;
+  options.max_cqs = 100;
   options.chase_fallback = true;
   AnswerEngine engine(program, Database(), options);
   EXPECT_FALSE(engine.ChaseTerminates());
@@ -1068,7 +1068,7 @@ TEST(AnswerEngineTraceTest, DeadlineExpiryLeavesWellFormedAnnotatedTrace) {
   Vocabulary vocab;
   TgdProgram program = PaperExample2(&vocab);
   AnswerEngineOptions options;
-  options.rewriter.max_cqs = 50'000'000;
+  options.max_cqs = 50'000'000;
   AnswerEngine engine(program, Database(), options);
   UnionOfCqs query(MustQuery("q() :- r(\"a\", X).", &vocab));
 
@@ -1144,7 +1144,7 @@ struct DivergentCteFixture {
     // Var-disjoint atoms whose reach sets ({r,s,t} vs {p,m}) are also
     // disjoint: two groups, the divergent one first.
     query = UnionOfCqs(MustQuery("q() :- r(\"a\", X), p(Z).", &vocab));
-    options.rewriter.max_cqs = 50'000'000;
+    options.max_cqs = 50'000'000;
   }
 };
 
@@ -1159,7 +1159,7 @@ TEST(AnswerEngineTraceTest, CteDeadlineExpiryLeavesPartialDagTrace) {
   std::int64_t group_hits = 0;
   {
     AnswerEngineOptions capped = fx.options;
-    capped.rewriter.max_cqs = 200;
+    capped.max_cqs = 200;
     AnswerEngine probe(fx.program, Database(), capped);
     FaultPointConfig count_only;
     count_only.probability = 0.0;
@@ -1315,7 +1315,7 @@ TEST(AnswerEngineTraceTest, ChaseFallbackTraceRecordsChaseSpans) {
   UniversityInstanceOptions instance;
   instance.num_students = 10;
   AnswerEngineOptions options;
-  options.rewriter.max_cqs = 1;  // Force the rewrite budget to fire.
+  options.max_cqs = 1;  // Force the rewrite budget to fire.
   options.chase_fallback = true;
   AnswerEngine engine(ontology, UniversityInstance(instance, &rng, &vocab),
                       options);
@@ -1513,7 +1513,7 @@ TEST(AnswerEngineExplainTest, WorksWithoutBackendAndHonoursDeadline) {
   Vocabulary vocab2;
   TgdProgram divergent = PaperExample2(&vocab2);
   AnswerEngineOptions options;
-  options.rewriter.max_cqs = 50'000'000;
+  options.max_cqs = 50'000'000;
   AnswerEngine slow(divergent, Database(), options);
   ServeOptions serve;
   serve.deadline = Deadline::AfterMillis(1);
