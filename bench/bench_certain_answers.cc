@@ -16,11 +16,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdint>
-#include <memory>
-#include <mutex>
-
-#include "base/deadline.h"
 #include "base/logging.h"
 #include "base/rng.h"
 #include "chase/chase.h"
@@ -205,64 +200,6 @@ void BM_ParallelUcqEval(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelUcqEval)
     ->ArgsProduct({{16, 64, 256}, {1, 2, 4, 8}});
-
-// Overload behaviour: a saturating open-loop burst against a bounded
-// engine (max_inflight = 2, per-request deadline). Measures how fast the
-// engine disposes of each request — served, shed, or timed out — and
-// surfaces the shed/deadline counters the operator would watch.
-void BM_EngineOverload(benchmark::State& state) {
-  // One engine shared by all benchmark threads (Threads(8) below runs
-  // this function once per thread): the first thread in builds it, keyed
-  // by the scale argument so each instance gets fresh data and metrics.
-  static std::mutex init_mutex;
-  static int current_scale = -1;
-  static std::unique_ptr<Scenario> scenario;
-  static std::unique_ptr<AnswerEngine> engine;
-  static std::unique_ptr<UnionOfCqs> query;
-  {
-    std::lock_guard<std::mutex> lock(init_mutex);
-    const int scale = static_cast<int>(state.range(0));
-    if (current_scale != scale) {
-      current_scale = scale;
-      engine.reset();
-      scenario = std::make_unique<Scenario>(MakeScenario(scale));
-      AnswerEngineOptions options;
-      options.max_inflight = 2;
-      options.num_threads = 2;
-      engine = std::make_unique<AnswerEngine>(scenario->ontology,
-                                              scenario->db, options);
-      query = std::make_unique<UnionOfCqs>(scenario->wide_query);
-      StatusOr<AnswerResult> warmup = engine->Serve(*query);
-      OREW_CHECK(warmup.ok()) << warmup.status();
-    }
-  }
-  std::int64_t served = 0;
-  std::int64_t rejected = 0;
-  for (auto _ : state) {
-    ServeOptions serve;
-    serve.deadline = Deadline::AfterMillis(state.range(1));
-    StatusOr<AnswerResult> result = engine->Serve(*query, serve);
-    result.ok() ? ++served : ++rejected;
-    benchmark::DoNotOptimize(result);
-  }
-  // Per-thread outcome counts are summed across threads; the
-  // engine-global shed/deadline/inflight metrics are reported once.
-  state.counters["served_ok"] = static_cast<double>(served);
-  state.counters["rejected"] = static_cast<double>(rejected);
-  if (state.thread_index() == 0) {
-    MetricsSnapshot metrics = engine->metrics().Snapshot();
-    state.counters["requests_shed"] =
-        static_cast<double>(metrics.Counter("requests_shed"));
-    state.counters["deadline_exceeded"] =
-        static_cast<double>(metrics.Counter("deadline_exceeded"));
-    state.counters["inflight_now"] =
-        static_cast<double>(metrics.Gauge("inflight"));
-  }
-}
-BENCHMARK(BM_EngineOverload)
-    ->ArgsProduct({{16, 64}, {1, 50}})
-    ->Threads(8)
-    ->UseRealTime();
 
 }  // namespace
 }  // namespace ontorew

@@ -11,8 +11,9 @@
 #include "base/status.h"
 
 // A counting semaphore with a deadline-aware bounded queue: the one
-// admission primitive of the serving stack. The engine, each server
-// tenant and the server itself each own one (DESIGN.md §6, §11).
+// admission primitive of the serving stack. Each server tenant and the
+// server itself own one (DESIGN.md §11); the engine behind them admits
+// nothing.
 //
 // Acquire takes a free slot, or queues for up to the gate's timeout but
 // never past the request's own deadline, then fails without a slot:

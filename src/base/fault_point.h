@@ -38,7 +38,8 @@
 //   rewrite.step   every saturation-loop iteration in RewriteUcq
 //   chase.step     every trigger application in RunChase
 //   eval.scan      every tuple examined by the CQ matcher
-//   serve.admit    after admission, before rewriting, in AnswerEngine
+//   serve.admit    start of AnswerEngine::Serve, after the server
+//                  admitted the request
 //   backend.exec   entry of SqliteBackend::Execute
 //   backend.busy   simulates SQLITE_BUSY before each scan attempt
 //   server.accept  after accept() in the OntologyServer listener
@@ -56,11 +57,11 @@ struct FaultPointConfig {
   std::uint64_t seed = 1;
   // The injected error.
   StatusCode code = StatusCode::kInternal;
-  std::string message;  // Defaults to "fault injected at <point>".
+  std::string message{};  // Defaults to "fault injected at <point>".
   // Optional: runs on every trip. A non-OK return replaces the injected
   // status; an OK return suppresses the fault (the handler can still
   // block, which is how tests hold a request in flight).
-  std::function<Status(std::string_view point)> handler;
+  std::function<Status(std::string_view point)> handler{};
 };
 
 class FaultRegistry {

@@ -82,7 +82,7 @@ std::int64_t CeilMillis(std::chrono::steady_clock::duration d) {
 std::string OntologyServer::Reply::Serialize() const {
   std::string out;
   if (status.ok()) {
-    out = FormatOkHeader(rows.size(), cache, via_chase);
+    out = FormatOkHeader(rows.size(), cache);
     for (const std::string& row : rows) {
       out += row;
       out += '\n';
@@ -393,7 +393,6 @@ OntologyServer::Reply OntologyServer::ServeAdmitted(
   if (!vocab_lock.owns_lock()) vocab_lock.lock();
   Reply reply;
   reply.cache = result->cache_hit ? "hit" : "miss";
-  reply.via_chase = result->served_via_chase;
   reply.rows.reserve(result->answers.size());
   for (const Tuple& tuple : result->answers) {
     reply.rows.push_back(ToString(tuple, tenant.vocab));

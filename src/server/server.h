@@ -42,11 +42,12 @@
 //                                                 (the caller ran out of
 //                                                 budget; the server did
 //                                                 not shed it).
-// Layers 2 and 3, and the admission of each tenant's AnswerEngine behind
-// them, are the same AdmissionGate (base/admission_gate.h): the tenant
-// gate never queues (timeout 0), the global gate queues for
-// admission_timeout. All three layers are retryable on the wire; parse
-// errors and unknown tenants are not (see IsRetryableStatusCode).
+// Layers 2 and 3 are the same AdmissionGate (base/admission_gate.h): the
+// tenant gate never queues (timeout 0), the global gate queues for
+// admission_timeout. They are the only admission in the stack — a
+// tenant's AnswerEngine serves whatever the server admits. All three
+// layers are retryable on the wire; parse errors and unknown tenants are
+// not (see IsRetryableStatusCode).
 //
 // Graceful degradation is a brownout ladder driven by the global
 // inflight ratio — shed optional work before shedding requests:
@@ -56,8 +57,7 @@
 //                                              retry-after errors.
 // Brownout never touches the rewriting: every admitted request is served
 // the complete, minimized rewriting, and a miss publishes it to the
-// shared cache. The chase fallback stays gated on weak acyclicity
-// exactly as in AnswerEngine — brownout never changes answer semantics.
+// shared cache — brownout never changes answer semantics.
 //
 // Shutdown(drain) is a graceful drain: new requests get a retryable
 // Unavailable shed response immediately, inflight requests get up to the
@@ -94,12 +94,12 @@ struct TenantQuota {
 };
 
 struct TenantSpec {
-  std::string name;
+  std::string name{};
   // Parser-syntax TGD program and ground facts (see logic/parser.h,
   // db/facts_io.h).
-  std::string program_text;
-  std::string facts_text;
-  TenantQuota quota;
+  std::string program_text{};
+  std::string facts_text{};
+  TenantQuota quota{};
   // Evaluate through a per-tenant in-memory SqliteBackend instead of the
   // engine's default InMemoryBackend. SQLite serializes on one
   // connection, so the server also holds the tenant's vocabulary lock
@@ -109,7 +109,7 @@ struct TenantSpec {
   // Per-tenant engine tuning. shared_cache, and (when use_sqlite) the
   // backend, are overwritten by the server. The rewriting itself is the
   // same for every tenant (see AnswerEngineOptions::max_cqs).
-  AnswerEngineOptions engine;
+  AnswerEngineOptions engine{};
 };
 
 struct OntologyServerOptions {
@@ -194,7 +194,6 @@ class OntologyServer {
     Status status;  // OK or the error for the ERR header.
     std::int64_t retry_after_ms = 0;
     std::string cache = "none";  // "hit" | "miss" | "none".
-    bool via_chase = false;
     std::vector<std::string> rows;
     std::vector<std::string> info;
     std::string Serialize() const;

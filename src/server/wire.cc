@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 
 #include "base/strings.h"
 
@@ -126,10 +127,8 @@ StatusOr<WireRequest> ParseWireRequest(std::string_view line) {
   return request;
 }
 
-std::string FormatOkHeader(std::size_t rows, std::string_view cache,
-                           bool via_chase) {
-  return StrCat("OK rows=", rows, " cache=", cache,
-                " chase=", via_chase ? 1 : 0, "\n");
+std::string FormatOkHeader(std::size_t rows, std::string_view cache) {
+  return StrCat("OK rows=", rows, " cache=", cache, "\n");
 }
 
 std::string FormatErrHeader(const Status& status,
@@ -161,19 +160,19 @@ StatusOr<WireResponse> ParseWireResponse(
   std::string_view kind = NextToken(&rest);
   WireResponse response;
   if (kind == "OK") {
+    std::optional<std::int64_t> rows;
     for (;;) {
-      std::string_view probe = rest;
-      std::string_view token = NextToken(&probe);
+      std::string_view token = NextToken(&rest);
       if (token.empty()) break;
       std::string_view value;
       if (ConsumeKey(token, "rows", &value)) {
-        // Row count is implied by the body; validated below.
+        OREW_ASSIGN_OR_RETURN(rows, ParseInt(value, "rows"));
       } else if (ConsumeKey(token, "cache", &value)) {
         response.cache_hit = value == "hit";
-      } else if (ConsumeKey(token, "chase", &value)) {
-        response.via_chase = value == "1";
       }
-      rest = probe;
+    }
+    if (!rows.has_value()) {
+      return InvalidArgumentError("OK header carries no rows=");
     }
     for (const std::string& line : body) {
       if (!line.empty() && line.front() == '#') {
@@ -184,6 +183,11 @@ StatusOr<WireResponse> ParseWireResponse(
       } else {
         response.rows.push_back(line);
       }
+    }
+    if (*rows != static_cast<std::int64_t>(response.rows.size())) {
+      return InvalidArgumentError(StrCat("OK header says rows=", *rows,
+                                         " but the body holds ",
+                                         response.rows.size()));
     }
     return response;
   }

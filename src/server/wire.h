@@ -19,7 +19,6 @@
 //                [SP "target=" ("ucq"|"cte")]
 //   response  := header NL body* ["# " info]* "END" NL
 //   header    := "OK rows=" int " cache=" ("hit"|"miss"|"none")
-//                " chase=" ("0"|"1")
 //              | "ERR code=" CodeName " retryable=" ("0"|"1")
 //                " retry_after_ms=" int SP message
 //
@@ -27,8 +26,11 @@
 // ("q(X) :- r(X, Y)."); everything from the first token that is not a
 // recognized key=value option to end-of-line is the query, so constants
 // containing '=' stay intact. OK bodies carry one rendered answer tuple
-// per line ("(alice, logic101)"); '#'-prefixed info lines carry traces
-// and stats. Error messages are newline-sanitized into one line.
+// per line ("(alice, logic101)"), and `rows=` counts them; '#'-prefixed
+// info lines carry traces and stats. A row never starts with '#' (tuples
+// render as "(...)") and never holds a line break (the lexer rejects one
+// inside a string literal). Error messages are newline-sanitized into
+// one line. Parsers skip header keys they do not know.
 //
 // The status taxonomy is the headline: `retryable` tells the client —
 // mechanically, not by parsing prose — whether backing off and resending
@@ -66,17 +68,15 @@ struct WireResponse {
   bool retryable = false;
   std::int64_t retry_after_ms = 0;
   bool cache_hit = false;
-  bool via_chase = false;
   std::vector<std::string> rows;  // Rendered answer tuples, sorted.
   std::vector<std::string> info;  // '#'-stripped info lines (trace/stats).
 };
 
 // --- Serialization (server side) -------------------------------------------
 
-// "OK rows=3 cache=hit chase=0\n". `cache` is "hit"/"miss"/"none" (none:
-// no rewrite happened, e.g. PING/STATS).
-std::string FormatOkHeader(std::size_t rows, std::string_view cache,
-                           bool via_chase);
+// "OK rows=3 cache=hit\n". `cache` is "hit"/"miss"/"none" (none: no
+// rewrite happened, e.g. PING/STATS).
+std::string FormatOkHeader(std::size_t rows, std::string_view cache);
 
 // "ERR code=... retryable=... retry_after_ms=... <message>\n" with the
 // retryable bit derived from the status code. `retry_after_ms` is the
@@ -90,6 +90,9 @@ inline constexpr std::string_view kWireEnd = "END";
 // --- Parsing (client side) -------------------------------------------------
 
 // Parses the header line plus body lines (everything before "END").
+// InvalidArgument on a malformed header, including an OK header whose
+// `rows=` is missing, not a number, or not the count of body lines that
+// do not start with '#' (a truncated body).
 StatusOr<WireResponse> ParseWireResponse(
     std::string_view header, const std::vector<std::string>& body);
 

@@ -4,8 +4,6 @@
 
 #include "base/fault_point.h"
 #include "base/strings.h"
-#include "chase/chase.h"
-#include "classes/weakly_acyclic.h"
 #include "logic/canonical.h"
 #include "rewriting/cte_sql.h"
 #include "rewriting/dag_rewriter.h"
@@ -35,14 +33,6 @@ void MixAtoms(std::uint64_t* hash, const std::vector<Atom>& atoms) {
       Mix(hash, static_cast<std::uint64_t>(t.id()));
     }
   }
-}
-
-// A rewrite failure that merely means "could not finish in budget" — the
-// cases chase fallback may rescue. Hard errors (invalid query, multi-head
-// program) stay hard.
-bool IsBudgetFailure(const Status& status) {
-  return status.code() == StatusCode::kDeadlineExceeded ||
-         status.code() == StatusCode::kResourceExhausted;
 }
 
 // The cache key for `query` under a specific program fingerprint — the
@@ -108,15 +98,11 @@ AnswerEngine::AnswerEngine(TgdProgram program, Database db,
       fingerprint_(FingerprintProgram(*program_)),
       cache_(options_.shared_cache != nullptr
                  ? options_.shared_cache
-                 : std::make_shared<RewriteCache>(options_.cache_capacity)),
-      gate_(options_.max_inflight, options_.admission_timeout) {
+                 : std::make_shared<RewriteCache>(options_.cache_capacity)) {
   for (std::size_t c = 0; c < requests_by_status_.size(); ++c) {
     requests_by_status_[c] = &metrics_.RegisterCounter(StrCat(
         "requests_by_status_", StatusCodeName(static_cast<StatusCode>(c))));
   }
-  metrics_.RegisterGauge("inflight", [this] {
-    return static_cast<std::int64_t>(gate_.inflight());
-  });
   ReloadBackend();
 }
 
@@ -166,24 +152,6 @@ void AnswerEngine::ReplaceDatabase(Database db) {
 std::string AnswerEngine::CacheKey(const UnionOfCqs& query,
                                    RewriteTarget target) const {
   return CacheKeyFor(query, program_fingerprint(), target);
-}
-
-bool AnswerEngine::ChaseTerminates() const {
-  Snapshot snap;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (wa_cache_.has_value() && wa_cache_->first == fingerprint_) {
-      return wa_cache_->second;
-    }
-    snap = Snapshot{program_, db_, fingerprint_, backend_status_};
-  }
-  // Classify outside the lock (the classifier walks the whole program).
-  const bool weakly_acyclic = IsWeaklyAcyclic(*snap.program);
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Keyed by the fingerprint the verdict was computed *for* — a program
-  // swapped in mid-classification must not inherit this verdict.
-  wa_cache_ = {snap.fingerprint, weakly_acyclic};
-  return weakly_acyclic;
 }
 
 StatusOr<std::shared_ptr<const CachedRewriting>> AnswerEngine::RewriteInternal(
@@ -282,113 +250,67 @@ StatusOr<AnswerResult> AnswerEngine::Serve(const UnionOfCqs& query,
   const auto record_status = [this](StatusCode code) {
     requests_by_status_[static_cast<std::size_t>(code)]->Increment();
   };
+  const auto fail = [&](const Status& status) -> StatusOr<AnswerResult> {
+    serve_span.AnnotateStatus(status);
+    record_status(status.code());
+    if (status.code() == StatusCode::kDeadlineExceeded) deadline_.Increment();
+    return status;
+  };
 
-  Status admitted;
-  {
-    TraceSpan admit_span(serve_span.context(), "admit");
-    admitted = gate_.Acquire(scope.deadline());
-    admit_span.AnnotateStatus(admitted);
-  }
-  if (!admitted.ok()) {
-    serve_span.AnnotateStatus(admitted);
-    record_status(admitted.code());
-    if (admitted.code() == StatusCode::kDeadlineExceeded) {
-      queue_deadline_.Increment();
-      deadline_.Increment();
-    } else {
-      shed_.Increment();
-    }
-    return admitted;
-  }
-
-  StatusOr<AnswerResult> result =
-      ServeAdmitted(query, scope, serve_span.context(), serve.target);
-  gate_.Release();
-  record_status(result.ok() ? StatusCode::kOk : result.status().code());
-  if (!result.ok()) {
-    serve_span.AnnotateStatus(result.status());
-    if (result.status().code() == StatusCode::kDeadlineExceeded) {
-      deadline_.Increment();
-    }
-  }
-  return result;
-}
-
-StatusOr<AnswerResult> AnswerEngine::ServeAdmitted(
-    const UnionOfCqs& query, const CancelScope& scope,
-    const TraceContext& trace, RewriteTarget target) {
   // Fast-fail a request that arrived already out of budget, and give
-  // tests a hook that holds an admitted request in flight.
-  OREW_RETURN_IF_ERROR(scope.Check("serve"));
-  OREW_RETURN_IF_ERROR(CheckFaultPoint("serve.admit"));
+  // tests a hook that holds a request in flight once the server has
+  // admitted it.
+  Status status = scope.Check("serve");
+  if (status.ok()) status = CheckFaultPoint("serve.admit");
+  if (!status.ok()) return fail(status);
 
   // Pin the program/data for the whole request: a concurrent AddTgd or
   // ReplaceDatabase swaps the engine's snapshot without disturbing this
-  // rewrite/chase/eval, and the cache entry written below is keyed by the
+  // rewrite/eval, and the cache entry written below is keyed by the
   // pinned fingerprint.
   const Snapshot snap = CurrentSnapshot();
 
   AnswerResult result;
   StatusOr<std::shared_ptr<const CachedRewriting>> rewriting =
-      RewriteInternal(query, scope, trace, &result.cache_hit, snap, target);
-  if (!rewriting.ok()) {
-    // Graceful degradation: a rewrite that ran out of budget (deadline or
-    // divergence cap) on a chase-terminating program can still be
-    // answered exactly, by materialization.
-    if (options_.chase_fallback && IsBudgetFailure(rewriting.status()) &&
-        ChaseTerminates()) {
-      TraceSpan chase_span(trace, "chase");
-      chase_span.Attr("fallback", "chase");
-      ChaseOptions chase_options;
-      chase_options.cancel = scope;
-      chase_options.trace = chase_span.context();
-      StatusOr<std::vector<Tuple>> answers =
-          CertainAnswersViaChase(query, *snap.program, *snap.db,
-                                 chase_options);
-      if (!answers.ok()) {
-        chase_span.AnnotateStatus(answers.status());
-        return answers.status();
-      }
-      result.answers = std::move(answers).value();
-      result.served_via_chase = true;
-      chase_served_.Increment();
-      return result;
-    }
-    return rewriting.status();
-  }
+      RewriteInternal(query, scope, serve_span.context(), &result.cache_hit,
+                      snap, serve.target);
+  if (!rewriting.ok()) return fail(rewriting.status());
   const std::shared_ptr<const CachedRewriting> cached = *std::move(rewriting);
   result.rewriting = UcqOf(cached);
   result.datalog = DatalogOf(cached);
 
-  TraceSpan eval_span(trace, "eval", &backend_exec_ns_);
-  if (!snap.backend_status.ok()) {
-    eval_span.AnnotateStatus(snap.backend_status);
-    return snap.backend_status;
+  {
+    TraceSpan eval_span(serve_span.context(), "eval", &backend_exec_ns_);
+    if (!snap.backend_status.ok()) {
+      eval_span.AnnotateStatus(snap.backend_status);
+      return fail(snap.backend_status);
+    }
+    Backend& backend = *options_.backend;
+    eval_span.Attr("backend", backend.name());
+    // drop_tuples_with_nulls keeps its default: answers containing
+    // labeled nulls are not certain.
+    BackendExecOptions exec;
+    exec.cancel = scope;
+    exec.num_threads = options_.num_threads;
+    exec.trace = eval_span.context();
+    // Under kCte the factored program goes to the backend natively (a SQL
+    // backend runs it as one WITH-CTE statement; others unfold); under
+    // kUcq the flat union runs as is.
+    StatusOr<std::vector<Tuple>> answers =
+        result.datalog != nullptr
+            ? backend.ExecuteDatalog(*result.datalog, exec, &result.eval)
+            : backend.Execute(*result.rewriting, exec, &result.eval);
+    if (!answers.ok()) {
+      eval_span.AnnotateStatus(answers.status());
+      return fail(answers.status());
+    }
+    result.answers = std::move(answers).value();
+    backend_exec_.Increment();
+    eval_span.Attr("rows", static_cast<std::int64_t>(result.answers.size()));
   }
-  Backend& backend = *options_.backend;
-  eval_span.Attr("backend", backend.name());
-  // drop_tuples_with_nulls keeps its default: answers containing labeled
-  // nulls are not certain.
-  BackendExecOptions exec;
-  exec.cancel = scope;
-  exec.num_threads = options_.num_threads;
-  exec.trace = eval_span.context();
-  // Under kCte the factored program goes to the backend natively (a SQL
-  // backend runs it as one WITH-CTE statement; others unfold); under kUcq
-  // the flat union runs as is.
-  StatusOr<std::vector<Tuple>> answers =
-      result.datalog != nullptr
-          ? backend.ExecuteDatalog(*result.datalog, exec, &result.eval)
-          : backend.Execute(*result.rewriting, exec, &result.eval);
-  if (!answers.ok()) {
-    eval_span.AnnotateStatus(answers.status());
-    return answers.status();
-  }
-  result.answers = std::move(answers).value();
-  backend_exec_.Increment();
-  eval_span.Attr("rows", static_cast<std::int64_t>(result.answers.size()));
   examined_.Increment(result.eval.tuples_examined);
   matches_.Increment(result.eval.matches);
+  record_status(StatusCode::kOk);
   return result;
 }
 

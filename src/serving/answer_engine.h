@@ -2,17 +2,13 @@
 #define ONTOREW_SERVING_ANSWER_ENGINE_H_
 
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "backend/backend.h"
-#include "base/admission_gate.h"
 #include "base/deadline.h"
 #include "base/metrics.h"
 #include "base/status.h"
@@ -45,19 +41,12 @@
 // (fingerprint, target, canonical query) names exactly one artifact that
 // every tenant sharing the cache may trust.
 //
-// Overload safety (see DESIGN.md "Serving layer"): Serve takes a
-// per-request ServeOptions with an absolute deadline and an optional
-// cancellation token, both threaded through the rewrite saturation, the
-// chase, and every tuple scan. An AdmissionGate bounds concurrent
-// requests: beyond AnswerEngineOptions::max_inflight, a request waits up
-// to admission_timeout for a slot and is then shed with
-// ResourceExhausted — unless its own deadline expired while it queued,
-// which returns DeadlineExceeded instead (the caller ran out of budget;
-// the server did not shed it), consuming no slot either way. A timed-out
-// request returns DeadlineExceeded — never a silently-partial answer
-// set. When the rewrite deadline (or its divergence cap) fires on a
-// program the weak-acyclicity classifier proves chase-terminating, the
-// engine can fall back to chase-based answering (chase_fallback).
+// Deadlines (see DESIGN.md "Serving layer"): Serve takes a per-request
+// ServeOptions with an absolute deadline and an optional cancellation
+// token, both threaded through the rewrite saturation and every tuple
+// scan. A timed-out request returns DeadlineExceeded — never a
+// silently-partial answer set. The engine keeps no admission state:
+// deciding which requests run is the server's job (server/server.h).
 //
 //   AnswerEngine engine(std::move(ontology), std::move(db));
 //   ServeOptions per_request;
@@ -69,12 +58,9 @@
 //   counters  queries_served, rewrite_cache_hit, rewrite_cache_miss,
 //             rewrite_cache_eviction, rewrite_pruned_total,
 //             eval_tuples_examined, eval_matches, deadline_exceeded,
-//             requests_shed, admission_queue_deadline,
-//             fallback_chase_served, rewrite_factored, rewrite_dag,
-//             rewrite_dag_fallback,
+//             rewrite_factored, rewrite_dag, rewrite_dag_fallback,
 //             backend_<name>_exec, backend_<name>_load,
 //             requests_by_status_<CodeName> (one per final Serve status)
-//   gauges    inflight (read from the admission gate at Snapshot time)
 //   timers    rewrite_ns (saturation), factor_ns, backend_<name>_exec_ns
 //             (the eval span), backend_<name>_load_ns
 // A counter or timer shows in Snapshot() once it has been recorded to.
@@ -112,37 +98,21 @@ struct AnswerEngineOptions {
   // backend_<name>_load_ns. A failed Load surfaces from the next Serve
   // as that error (the engine stays usable after a successful reload).
   std::shared_ptr<Backend> backend;
-
-  // --- Admission control ---------------------------------------------------
-  // Concurrent Serve calls admitted at once; 0 = unlimited. Requests over
-  // the limit wait up to admission_timeout for a slot, then shed with
-  // ResourceExhausted (`requests_shed` counter; `inflight` gauge).
-  std::size_t max_inflight = 0;
-  // How long an over-limit request queues before shedding. Zero sheds
-  // immediately (pure load shedding, no queueing).
-  std::chrono::nanoseconds admission_timeout{0};
-
-  // --- Graceful degradation ------------------------------------------------
-  // When the rewriting is cut short (deadline or divergence cap) but the
-  // program is weakly acyclic — so the chase provably terminates — answer
-  // via the chase (default ChaseOptions, under the request's deadline and
-  // token) instead of failing (`fallback_chase_served` counter).
-  bool chase_fallback = false;
 };
 
 // Per-request controls for Serve.
 struct ServeOptions {
-  // Absolute wall-clock budget for the whole request: admission wait,
-  // rewrite, (fallback chase,) evaluation.
+  // Absolute wall-clock budget for the whole request: rewrite and
+  // evaluation.
   Deadline deadline = Deadline::Infinite();
   // Optional caller-held token: Cancel() aborts the request at the next
   // cooperative check.
   std::shared_ptr<const CancelToken> cancel;
   // Optional request-scoped trace (see base/trace.h). When non-null,
   // Serve records a "serve" root span with children for every executed
-  // stage — admit, canonicalize, rewrite-cache (cache=hit|miss), rewrite
-  // (with per-iteration saturate/minimize spans), chase (fallback=chase),
-  // eval (backend=<name>, per-disjunct or SQL plan spans) — well-formed (no
+  // stage — canonicalize, rewrite-cache (cache=hit|miss), rewrite (with
+  // per-iteration saturate/minimize spans), eval (backend=<name>,
+  // per-disjunct or SQL plan spans) — well-formed (no
   // open spans) on every exit path, including errors. Null (the default)
   // costs one pointer test per hook.
   Trace* trace = nullptr;
@@ -163,9 +133,6 @@ struct ServeOptions {
 struct AnswerResult {
   std::vector<Tuple> answers;  // Sorted, deduplicated.
   bool cache_hit = false;
-  // True when the answers came from the chase fallback (the rewriting
-  // below is then null).
-  bool served_via_chase = false;
   // The flat rewriting that was evaluated (shared with the cache; remains
   // valid after eviction). Null under RewriteTarget::kCte, whose cache
   // entries never hold the flat union — the request ran `datalog` instead
@@ -233,18 +200,17 @@ class AnswerEngine {
   std::string CacheKey(const UnionOfCqs& query,
                        RewriteTarget target = RewriteTarget::kUcq) const;
 
-  // End-to-end: admit, rewrite (or fetch from cache, or fall back to the
-  // chase), evaluate on the backend, return the sorted certain answers
-  // with provenance. Errors: ResourceExhausted when shed by admission
-  // control, DeadlineExceeded/Cancelled when the request's scope trips at
-  // any stage, plus the rewriter's (never cached) and the backend's. An
+  // End-to-end: rewrite (or fetch from cache), evaluate on the backend,
+  // return the sorted certain answers with provenance. Errors:
+  // DeadlineExceeded/Cancelled when the request's scope trips at any
+  // stage, plus the rewriter's (never cached) and the backend's. An
   // error never carries partial answers.
   StatusOr<AnswerResult> Serve(const UnionOfCqs& query,
                                const ServeOptions& serve = {});
 
   // Dry run: rewrites `query` (through the cache) and renders the SQL the
-  // engine would delegate, WITHOUT executing anything — no admission slot
-  // is taken and no backend or database is touched. `vocab` names the
+  // engine would delegate, WITHOUT executing anything — no backend or
+  // database is touched. `vocab` names the
   // predicates/constants in the emitted SQL (the engine stores ids only).
   // The returned trace always covers the executed stages; honours
   // serve.deadline/serve.cancel but ignores serve.trace (see
@@ -260,20 +226,13 @@ class AnswerEngine {
   StatusOr<std::vector<Tuple>> CertainAnswers(const ConjunctiveQuery& query,
                                               const ServeOptions& serve = {});
 
-  // Whether the owned program is weakly acyclic (chase-terminating) —
-  // the gate for chase_fallback. Computed once per fingerprint.
-  bool ChaseTerminates() const;
-
   MetricsRegistry& metrics() { return metrics_; }
   RewriteCacheStats cache_stats() const;
-
-  // Current admitted-but-unfinished Serve calls (the `inflight` gauge).
-  std::size_t inflight() const { return gate_.inflight(); }
 
  private:
   // An immutable view of the engine's ontology + data, pinned by each
   // request so AddTgd/ReplaceDatabase can swap the live state mid-flight
-  // without racing in-progress rewrites, chases, or scans. The
+  // without racing in-progress rewrites or scans. The
   // fingerprint always matches `program` (they are captured together
   // under mutex_), so a rewriting computed from this snapshot is cached
   // under the key of the program that produced it — never under a newer
@@ -301,11 +260,6 @@ class AnswerEngine {
       const TraceContext& trace, bool* cache_hit, const Snapshot& snap,
       RewriteTarget target);
 
-  StatusOr<AnswerResult> ServeAdmitted(const UnionOfCqs& query,
-                                       const CancelScope& scope,
-                                       const TraceContext& trace,
-                                       RewriteTarget target);
-
   // The current snapshot's parts: read/swapped under mutex_; the pointees
   // are immutable. The accessors above dereference without the lock —
   // safe only absent concurrent mutation.
@@ -324,12 +278,8 @@ class AnswerEngine {
   // thread-safe; mutex_ does not guard it.
   std::shared_ptr<RewriteCache> cache_;
 
-  // Guards wa_cache_ and the snapshot swap.
+  // Guards the snapshot swap.
   mutable std::mutex mutex_;
-  // Weak-acyclicity verdict for the fingerprint it was computed under.
-  mutable std::optional<std::pair<std::uint64_t, bool>> wa_cache_;
-
-  AdmissionGate gate_;
 
   // Metric handles, registered once (names: see the top of this file).
   MetricsRegistry metrics_;
@@ -344,10 +294,6 @@ class AnswerEngine {
   Counter& examined_ = metrics_.RegisterCounter("eval_tuples_examined");
   Counter& matches_ = metrics_.RegisterCounter("eval_matches");
   Counter& deadline_ = metrics_.RegisterCounter("deadline_exceeded");
-  Counter& shed_ = metrics_.RegisterCounter("requests_shed");
-  Counter& queue_deadline_ =
-      metrics_.RegisterCounter("admission_queue_deadline");
-  Counter& chase_served_ = metrics_.RegisterCounter("fallback_chase_served");
   // "backend_<name>", the prefix of the backend's metric names.
   const std::string backend_ = StrCat("backend_", options_.backend->name());
   Counter& backend_exec_ = metrics_.RegisterCounter(backend_ + "_exec");

@@ -1,7 +1,11 @@
 #include <algorithm>
+#include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/fault_point.h"
+#include "base/trace.h"
 #include "chase/chase.h"
 #include "db/eval.h"
 #include "db/facts_io.h"
@@ -105,6 +109,55 @@ TEST(ChaseTest, RestrictedTerminatesOnUniversity) {
   const Relation* person = result.db.Find(vocab.FindPredicate("person"));
   ASSERT_NE(person, nullptr);
   EXPECT_GE(person->size(), options.num_professors);
+}
+
+// The chase's own trace hooks: a traced CertainAnswersViaChase records a
+// closed chase.run span with its rounds, one chase.round child per round
+// and a chase.eval span for the final evaluation.
+TEST(ChaseTest, TracedCertainAnswersRecordRunRoundAndEvalSpans) {
+  Vocabulary vocab;
+  TgdProgram ontology = UniversityOntology(&vocab);
+  Rng rng(23);
+  UniversityInstanceOptions instance;
+  instance.num_students = 10;
+  Database db = UniversityInstance(instance, &rng, &vocab);
+  ConjunctiveQuery query = MustQuery("q(X) :- person(X).", &vocab);
+
+  Trace trace;
+  ChaseOptions options;
+  options.trace = TraceContext(&trace);
+  StatusOr<std::vector<Tuple>> answers =
+      CertainAnswersViaChase(UnionOfCqs(query), ontology, db, options);
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  EXPECT_FALSE(answers->empty());
+
+  const std::vector<SpanRecord> spans = trace.Snapshot();
+  const auto find = [&spans](std::string_view name) -> const SpanRecord* {
+    for (const SpanRecord& span : spans) {
+      if (span.name == name) return &span;
+    }
+    return nullptr;
+  };
+  const auto attr = [](const SpanRecord& span,
+                       std::string_view key) -> std::optional<std::string> {
+    for (const auto& [k, v] : span.attributes) {
+      if (k == key) return v;
+    }
+    return std::nullopt;
+  };
+  for (const SpanRecord& span : spans) {
+    EXPECT_GE(span.duration_ns, 0) << "span '" << span.name << "' left open";
+  }
+  const SpanRecord* run = find("chase.run");
+  ASSERT_NE(run, nullptr) << trace.ToString();
+  EXPECT_TRUE(attr(*run, "rounds").has_value());
+  EXPECT_EQ(attr(*run, "terminated"), "true");
+  const SpanRecord* round = find("chase.round");
+  ASSERT_NE(round, nullptr);
+  EXPECT_EQ(round->parent, run->id);
+  const SpanRecord* eval = find("chase.eval");
+  ASSERT_NE(eval, nullptr);
+  EXPECT_TRUE(attr(*eval, "rows").has_value());
 }
 
 TEST(ChaseTest, Example2ChaseTerminatesPerInstance) {

@@ -191,6 +191,25 @@ TEST(WireTest, OkResponseSeparatesRowsFromInfoLines) {
             (std::vector<std::string>{"serve 1.2ms", "  eval 0.9ms"}));
 }
 
+TEST(WireTest, OkRowCountMustMatchBody) {
+  // A truncated body, a missing count and a count that is not a number
+  // are malformed replies, never a short answer set.
+  for (const char* header :
+       {"OK rows=5 cache=hit", "OK cache=hit", "OK rows=one cache=hit",
+        "OK rows= cache=hit", "OK rows=-1 cache=hit",
+        "OK rows=99999999999999999999 cache=hit"}) {
+    StatusOr<WireResponse> response = ParseWireResponse(header, {"(a)"});
+    ASSERT_FALSE(response.ok()) << header;
+    EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument)
+        << header;
+  }
+  // Info lines are not rows.
+  StatusOr<WireResponse> response =
+      ParseWireResponse("OK rows=1 cache=miss", {"(a)", "# serve 1ms"});
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->rows, (std::vector<std::string>{"(a)"}));
+}
+
 // --- TokenBucket ------------------------------------------------------------
 
 TEST(TokenBucketTest, BurstThenRefillHint) {

@@ -1,8 +1,6 @@
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -16,7 +14,6 @@
 #include "base/strings.h"
 #include "base/trace.h"
 #include "chase/chase.h"
-#include "classes/weakly_acyclic.h"
 #include "db/eval.h"
 #include "gtest/gtest.h"
 #include "serving/answer_engine.h"
@@ -368,7 +365,7 @@ TEST(AnswerEngineTest, ServeReportsCacheHitAndRewriting) {
   EXPECT_EQ(warm->rewriting, cold->rewriting);  // Same shared entry.
 }
 
-// --- AnswerEngine: deadlines, cancellation, faults, admission ---------------
+// --- AnswerEngine: deadlines, cancellation, faults -------------------------
 
 // Acceptance: a 1ms deadline on the divergent PaperExample2 rewriting
 // returns DeadlineExceeded well under 100ms — the saturation loop is
@@ -456,170 +453,6 @@ TEST(AnswerEngineTest, InjectedMidEvalWorkerFaultYieldsErrorNotPartialAnswers) {
   StatusOr<AnswerResult> recovered = engine.Serve(query);
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(recovered->answers, healthy->answers);
-}
-
-TEST(AnswerEngineTest, AdmissionControlShedsBeyondMaxInflight) {
-  Vocabulary vocab;
-  TgdProgram ontology = UniversityOntology(&vocab);
-  Rng rng(3);
-  UniversityInstanceOptions instance;
-  instance.num_students = 20;
-  AnswerEngineOptions options;
-  options.max_inflight = 1;  // admission_timeout 0: shed immediately.
-  AnswerEngine engine(ontology, UniversityInstance(instance, &rng, &vocab),
-                      options);
-  UnionOfCqs query(MustQuery("q(X) :- person(X).", &vocab));
-
-  // Hold one admitted request in flight deterministically: the
-  // "serve.admit" fault point fires after admission, and its handler
-  // blocks until we release it (then suppresses the fault).
-  std::promise<void> reached_promise;
-  std::promise<void> release_promise;
-  std::future<void> reached = reached_promise.get_future();
-  std::shared_future<void> release = release_promise.get_future().share();
-  FaultPointConfig hold;
-  hold.handler = [&reached_promise, release](std::string_view) {
-    reached_promise.set_value();
-    release.wait();
-    return Status::Ok();
-  };
-  std::optional<StatusOr<AnswerResult>> held;
-  {
-    ScopedFault fault("serve.admit", hold);
-    std::thread holder([&] { held = engine.Serve(query); });
-    reached.wait();
-    EXPECT_EQ(engine.inflight(), 1u);
-    EXPECT_EQ(engine.metrics().Snapshot().Gauge("inflight"), 1);
-
-    // The slot is taken: the next request is shed, not queued.
-    StatusOr<AnswerResult> shed = engine.Serve(query);
-    ASSERT_FALSE(shed.ok());
-    EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
-    EXPECT_NE(shed.status().message().find("shed"), std::string::npos);
-    EXPECT_EQ(engine.metrics().Snapshot().Counter("requests_shed"), 1);
-
-    release_promise.set_value();
-    holder.join();
-  }
-  ASSERT_TRUE(held.has_value());
-  EXPECT_TRUE(held->ok()) << held->status();
-  // The slot was released; the gauge is back to zero and new requests
-  // are admitted again.
-  EXPECT_EQ(engine.inflight(), 0u);
-  EXPECT_EQ(engine.metrics().Snapshot().Gauge("inflight"), 0);
-  EXPECT_TRUE(engine.Serve(query).ok());
-}
-
-TEST(AnswerEngineTest, QueuedRequestAdmittedWhenSlotFrees) {
-  Vocabulary vocab;
-  TgdProgram ontology = UniversityOntology(&vocab);
-  AnswerEngineOptions options;
-  options.max_inflight = 1;
-  options.admission_timeout = std::chrono::seconds(30);
-  AnswerEngine engine(ontology, Database(), options);
-  UnionOfCqs query(MustQuery("q(X) :- person(X).", &vocab));
-
-  std::promise<void> reached_promise;
-  std::promise<void> release_promise;
-  std::future<void> reached = reached_promise.get_future();
-  std::shared_future<void> release = release_promise.get_future().share();
-  FaultPointConfig hold;
-  hold.after = 0;
-  bool signalled = false;
-  hold.handler = [&, release](std::string_view) {
-    // Only the first admitted request blocks; the queued one sails
-    // through once admitted.
-    if (!signalled) {
-      signalled = true;
-      reached_promise.set_value();
-      release.wait();
-    }
-    return Status::Ok();
-  };
-  ScopedFault fault("serve.admit", hold);
-
-  std::optional<StatusOr<AnswerResult>> held;
-  std::thread holder([&] { held = engine.Serve(query); });
-  reached.wait();
-
-  // This request queues behind the held slot...
-  std::optional<StatusOr<AnswerResult>> queued;
-  std::thread waiter([&] { queued = engine.Serve(query); });
-  // ...and is admitted (not shed) once the holder finishes.
-  release_promise.set_value();
-  holder.join();
-  waiter.join();
-
-  ASSERT_TRUE(held.has_value());
-  EXPECT_TRUE(held->ok()) << held->status();
-  ASSERT_TRUE(queued.has_value());
-  EXPECT_TRUE(queued->ok()) << queued->status();
-  EXPECT_EQ(engine.metrics().Snapshot().Counter("requests_shed"), 0);
-}
-
-// --- AnswerEngine: graceful degradation --------------------------------------
-
-TEST(AnswerEngineTest, FallsBackToChaseWhenRewriteBudgetFires) {
-  Vocabulary vocab;
-  TgdProgram ontology = UniversityOntology(&vocab);
-  // The fallback gate: the university ontology is weakly acyclic, so the
-  // chase provably terminates on it.
-  ASSERT_TRUE(IsWeaklyAcyclic(ontology));
-
-  Rng rng(21);
-  UniversityInstanceOptions instance;
-  instance.num_students = 15;
-  Database db = UniversityInstance(instance, &rng, &vocab);
-  ConjunctiveQuery query = MustQuery("q(X) :- person(X).", &vocab);
-
-  // Reference answers, computed with an unconstrained engine.
-  AnswerEngine reference(ontology, db);
-  StatusOr<std::vector<Tuple>> expected = reference.CertainAnswers(query);
-  ASSERT_TRUE(expected.ok());
-
-  AnswerEngineOptions options;
-  options.max_cqs = 1;  // Any real rewriting blows this budget.
-  options.chase_fallback = true;
-  AnswerEngine engine(ontology, db, options);
-  EXPECT_TRUE(engine.ChaseTerminates());
-
-  StatusOr<AnswerResult> result = engine.Serve(UnionOfCqs(query));
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_TRUE(result->served_via_chase);
-  EXPECT_EQ(result->rewriting, nullptr);
-  EXPECT_EQ(result->answers, *expected);
-  EXPECT_EQ(engine.metrics().Snapshot().Counter("fallback_chase_served"), 1);
-
-  // Without the fallback the same budget failure is surfaced as-is.
-  options.chase_fallback = false;
-  AnswerEngine strict(ontology, db, options);
-  StatusOr<AnswerResult> failed = strict.Serve(UnionOfCqs(query));
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(AnswerEngineTest, FallbackRefusedWhenChaseMayDiverge) {
-  Vocabulary vocab;
-  // PaperExample2 alone would not do here: its rewriting diverges but it
-  // IS weakly acyclic (which FallsBackToChaseWhenRewriteBudgetFires
-  // exploits). Adding a rule whose existential Z feeds back into u's own
-  // position breaks weak acyclicity without touching the query's
-  // divergent saturation — so the rewrite still fails on budget, and the
-  // fallback gate must refuse and surface that failure unchanged.
-  TgdProgram program = PaperExample2(&vocab);
-  program.Add(MustTgd("u(X, Y) -> u(Y, Z).", &vocab));
-  ASSERT_FALSE(IsWeaklyAcyclic(program));
-  AnswerEngineOptions options;
-  options.max_cqs = 100;
-  options.chase_fallback = true;
-  AnswerEngine engine(program, Database(), options);
-  EXPECT_FALSE(engine.ChaseTerminates());
-
-  ConjunctiveQuery query = MustQuery("q() :- r(\"a\", X).", &vocab);
-  StatusOr<AnswerResult> result = engine.Serve(UnionOfCqs(query));
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(engine.metrics().Snapshot().Counter("fallback_chase_served"), 0);
 }
 
 // --- Pluggable execution backends ------------------------------------------
@@ -1012,7 +845,7 @@ TEST(AnswerEngineTraceTest, ColdServeRecordsCompleteSpanTree) {
   // Every pipeline stage of a cold serve is present, parented under the
   // request root.
   for (const char* stage :
-       {"admit", "canonicalize", "rewrite-cache", "rewrite", "eval"}) {
+       {"canonicalize", "rewrite-cache", "rewrite", "eval"}) {
     const SpanRecord* span = FindSpan(spans, stage);
     ASSERT_NE(span, nullptr) << stage << " missing:\n" << trace.ToString();
     EXPECT_EQ(span->parent, serve_span->id) << stage;
@@ -1308,48 +1141,6 @@ TEST(AnswerEngineTraceTest, EvalScanFaultAnnotatesEvalSpan) {
   EXPECT_EQ(FindSpan(spans, "rewrite"), nullptr);
 }
 
-TEST(AnswerEngineTraceTest, ChaseFallbackTraceRecordsChaseSpans) {
-  Vocabulary vocab;
-  TgdProgram ontology = UniversityOntology(&vocab);
-  Rng rng(23);
-  UniversityInstanceOptions instance;
-  instance.num_students = 10;
-  AnswerEngineOptions options;
-  options.max_cqs = 1;  // Force the rewrite budget to fire.
-  options.chase_fallback = true;
-  AnswerEngine engine(ontology, UniversityInstance(instance, &rng, &vocab),
-                      options);
-  UnionOfCqs query(MustQuery("q(X) :- person(X).", &vocab));
-
-  Trace trace;
-  ServeOptions serve;
-  serve.trace = &trace;
-  StatusOr<AnswerResult> result = engine.Serve(query, serve);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_TRUE(result->served_via_chase);
-  ExpectAllSpansClosed(trace);
-
-  const std::vector<SpanRecord> spans = trace.Snapshot();
-  // The failed rewrite attempt and the fallback are both in the tree.
-  const SpanRecord* rewrite = FindSpan(spans, "rewrite");
-  ASSERT_NE(rewrite, nullptr);
-  EXPECT_TRUE(SpanHasAttr(*rewrite, "status", "ResourceExhausted"));
-  const SpanRecord* chase = FindSpan(spans, "chase");
-  ASSERT_NE(chase, nullptr);
-  EXPECT_TRUE(SpanHasAttr(*chase, "fallback", "chase"));
-  const SpanRecord* run = FindSpan(spans, "chase.run");
-  ASSERT_NE(run, nullptr);
-  EXPECT_EQ(run->parent, chase->id);
-  EXPECT_TRUE(SpanHasAttrKey(*run, "rounds"));
-  EXPECT_TRUE(SpanHasAttr(*run, "terminated", "true"));
-  const SpanRecord* round = FindSpan(spans, "chase.round");
-  ASSERT_NE(round, nullptr);
-  EXPECT_EQ(round->parent, run->id);
-  const SpanRecord* chase_eval = FindSpan(spans, "chase.eval");
-  ASSERT_NE(chase_eval, nullptr);
-  EXPECT_TRUE(SpanHasAttrKey(*chase_eval, "rows"));
-}
-
 TEST(AnswerEngineTraceTest, SqliteBackendTraceCarriesSqlAndQueryPlan) {
   Vocabulary vocab;
   TgdProgram ontology = UniversityOntology(&vocab);
@@ -1588,58 +1379,6 @@ TEST(AnswerEngineTest, ConcurrentServesSurviveCacheInvalidation) {
   StatusOr<AnswerResult> final_serve = engine.Serve(query);
   ASSERT_TRUE(final_serve.ok());
   EXPECT_EQ(final_serve->answers, expected);
-}
-
-TEST(AnswerEngineTest, QueuedRequestDeadlineExpiryIsDeadlineExceeded) {
-  Vocabulary vocab;
-  TgdProgram ontology = UniversityOntology(&vocab);
-  Rng rng(9);
-  UniversityInstanceOptions instance;
-  instance.num_students = 10;
-  AnswerEngineOptions options;
-  options.max_inflight = 1;
-  // The QUEUE is patient — only the request's own budget is not.
-  options.admission_timeout = std::chrono::seconds(10);
-  AnswerEngine engine(ontology, UniversityInstance(instance, &rng, &vocab),
-                      options);
-  UnionOfCqs query(MustQuery("q(X) :- person(X).", &vocab));
-
-  std::promise<void> reached_promise;
-  std::promise<void> release_promise;
-  std::future<void> reached = reached_promise.get_future();
-  std::shared_future<void> release = release_promise.get_future().share();
-  FaultPointConfig hold;
-  hold.handler = [&reached_promise, release](std::string_view) {
-    reached_promise.set_value();
-    release.wait();
-    return Status::Ok();
-  };
-  std::optional<StatusOr<AnswerResult>> held;
-  {
-    ScopedFault fault("serve.admit", hold);
-    std::thread holder([&] { held = engine.Serve(query); });
-    reached.wait();
-
-    // This request dies of ITS OWN deadline while queued for the slot.
-    // That must surface as DeadlineExceeded (the caller ran out of
-    // budget), not ResourceExhausted (the server did not shed it) — a
-    // retrying client treats the two differently.
-    ServeOptions serve;
-    serve.deadline = Deadline::AfterMillis(50);
-    StatusOr<AnswerResult> queued = engine.Serve(query, serve);
-    ASSERT_FALSE(queued.ok());
-    EXPECT_EQ(queued.status().code(), StatusCode::kDeadlineExceeded);
-    const MetricsSnapshot snapshot = engine.metrics().Snapshot();
-    EXPECT_EQ(snapshot.Counter("admission_queue_deadline"), 1);
-    EXPECT_EQ(snapshot.Counter("requests_shed"), 0);
-
-    release_promise.set_value();
-    holder.join();
-  }
-  ASSERT_TRUE(held.has_value());
-  EXPECT_TRUE(held->ok()) << held->status();
-  // The queued request never consumed the slot: a fresh serve works.
-  EXPECT_TRUE(engine.Serve(query).ok());
 }
 
 TEST(AnswerEngineTest, RequestsByStatusCountersSplitOutcomes) {
