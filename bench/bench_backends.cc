@@ -6,7 +6,7 @@
 //
 //  - load time: InMemory keeps a pointer to the shared Database; SQLite
 //    creates tables and bulk-inserts every fact inside one transaction.
-//    Paid once per ReplaceDatabase, amortized over all queries.
+//    Paid once per engine, amortized over all queries.
 //  - per-query latency: hash-join evaluator vs SQLite's planner over
 //    the emitted SELECT ... UNION ... text.
 //
@@ -77,7 +77,7 @@ std::unique_ptr<Backend> MakeBackend(int which, Vocabulary* vocab) {
 }
 
 // Load cost: program schema + every fact into a fresh backend. The
-// database is shared, as the engine shares its snapshot, so the in-memory
+// database is shared, as the engine shares its own, so the in-memory
 // backend's load copies nothing.
 void BM_BackendLoad(benchmark::State& state) {
   Scenario scenario = MakeScenario(static_cast<int>(state.range(1)));

@@ -131,9 +131,10 @@ BENCHMARK(BM_AnswerViaChase)->RangeMultiplier(4)->Range(1, 64);
 // saturation plus evaluation. Baseline for the warm-cache comparison.
 void BM_EngineColdCache(benchmark::State& state) {
   Scenario scenario = MakeScenario(static_cast<int>(state.range(0)));
-  // Capacity 0 disables caching: every Serve pays the full saturation.
+  // A zero-capacity cache never stores: every Serve pays the full
+  // saturation.
   AnswerEngineOptions cold_options;
-  cold_options.cache_capacity = 0;
+  cold_options.shared_cache = std::make_shared<RewriteCache>(0);
   AnswerEngine engine(scenario.ontology, scenario.db, cold_options);
   UnionOfCqs query(scenario.expensive_query);
   for (auto _ : state) {

@@ -317,10 +317,8 @@ void AppendE2eRows(std::string* json, bool* first) {
           }
           return backend.Execute(rewriting->ucq, {});
         }
-        DagRewriteOptions dag_options;
-        dag_options.rewriter = options;
         StatusOr<DagRewriteResult> dag =
-            RewriteToDatalog(UnionOfCqs(*query), ontology, dag_options);
+            RewriteToDatalog(UnionOfCqs(*query), ontology, options);
         if (!dag.ok()) return dag.status();
         saturate_ms = static_cast<double>(dag->saturate_ns) / 1e6;
         factor_ms = static_cast<double>(dag->factor_ns) / 1e6;
@@ -379,8 +377,8 @@ void AppendDagBlowupRow(std::string* json, bool* first) {
   TgdProgram program = ProductFamily(8, &vocab);
   const UnionOfCqs query(ProductQuery(6, &vocab));
 
-  DagRewriteOptions dag_options;
-  dag_options.rewriter.max_cqs = 300000;
+  RewriterOptions dag_options;
+  dag_options.max_cqs = 300000;
   double best_ms = 0.0, best_saturate_ms = 0.0, best_factor_ms = 0.0;
   long long disjuncts = 0;
   int cte_count = 0;

@@ -269,12 +269,12 @@ struct MemoEntry {
 // cross-disjunct sharing is strictly better).
 StatusOr<DagRewriteResult> FallbackPath(const UnionOfCqs& query,
                                         const TgdProgram& program,
-                                        const DagRewriteOptions& options,
+                                        const RewriterOptions& options,
                                         const char* reason) {
   DagRewriteResult result;
   result.fallback = true;
   const auto saturate_start = Clock::now();
-  StatusOr<RewriteResult> flat = RewriteUcq(query, program, options.rewriter);
+  StatusOr<RewriteResult> flat = RewriteUcq(query, program, options);
   result.saturate_ns = NsSince(saturate_start);
   if (!flat.ok()) return flat.status();
   result.generated = flat->generated;
@@ -282,12 +282,12 @@ StatusOr<DagRewriteResult> FallbackPath(const UnionOfCqs& query,
   result.pruned = flat->pruned;
   result.implied_disjuncts = flat->ucq.size();
 
-  TraceSpan factor_span(options.rewriter.trace, "factor");
+  TraceSpan factor_span(options.trace, "factor");
   factor_span.Attr("mode", "flat-fallback");
   factor_span.Attr("gate", reason);
   const auto factor_start = Clock::now();
   StatusOr<DatalogProgram> factored =
-      FactorUcq(flat->ucq, options.rewriter.cancel);
+      FactorUcq(flat->ucq, options.cancel);
   result.factor_ns = NsSince(factor_start);
   if (!factored.ok()) {
     factor_span.AnnotateStatus(factored.status());
@@ -307,14 +307,14 @@ StatusOr<DagRewriteResult> FallbackPath(const UnionOfCqs& query,
 
 StatusOr<DagRewriteResult> RewriteToDatalog(const UnionOfCqs& query,
                                             const TgdProgram& program,
-                                            const DagRewriteOptions& options) {
+                                            const RewriterOptions& options) {
   if (!program.IsSingleHead()) {
     return FailedPreconditionError(
         "the rewriting engine covers single-head TGDs; normalize multi-head "
         "TGDs first");
   }
   OREW_RETURN_IF_ERROR(query.Validate());
-  const TraceContext& trace = options.rewriter.trace;
+  const TraceContext& trace = options.trace;
   const auto total_start = Clock::now();
 
   // Phase 1 — decompose every disjunct and check gate G2 on the ones
@@ -371,7 +371,7 @@ StatusOr<DagRewriteResult> RewriteToDatalog(const UnionOfCqs& query,
     TraceSpan group_span(trace, "group");
     group_span.Attr("atoms",
                     static_cast<std::int64_t>(subquery.body().size()));
-    RewriterOptions rewriter = options.rewriter;
+    RewriterOptions rewriter = options;
     rewriter.trace = group_span.context();
     const auto start = Clock::now();
     StatusOr<RewriteResult> rewritten =
@@ -392,7 +392,7 @@ StatusOr<DagRewriteResult> RewriteToDatalog(const UnionOfCqs& query,
   };
 
   for (std::size_t d = 0; d < query.disjuncts().size(); ++d) {
-    OREW_RETURN_IF_ERROR(options.rewriter.cancel.Check("dag rewrite"));
+    OREW_RETURN_IF_ERROR(options.cancel.Check("dag rewrite"));
     const ConjunctiveQuery& cq = query.disjuncts()[d];
     const std::vector<Group>& groups = plans[d];
 

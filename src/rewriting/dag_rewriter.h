@@ -74,16 +74,6 @@
 
 namespace ontorew {
 
-struct DagRewriteOptions {
-  // Saturation options for the per-group rewritings (and for the
-  // whole-query rewriting on the fallback path). The cancel scope and
-  // trace context apply to the entire DAG rewrite. Note max_cqs bounds
-  // each group's saturation individually, not their sum — per-group
-  // saturations are sub-problems of the flat one, so the effective
-  // budget only tightens.
-  RewriterOptions rewriter;
-};
-
 struct DagRewriteResult {
   DatalogProgram program;
   // True when the whole query took the reference path (flat RewriteUcq +
@@ -116,9 +106,15 @@ struct DagRewriteResult {
 // Errors propagate from the underlying saturations (cancellation,
 // max_cqs, fault injection); gate trips are not errors — they return the
 // fallback-path program with result.fallback set.
+//
+// `options` drives the per-group saturations (and the whole-query one on
+// the fallback path); its cancel scope and trace context apply to the
+// entire DAG rewrite. max_cqs bounds each group's saturation
+// individually, not their sum — per-group saturations are sub-problems
+// of the flat one, so the effective budget only tightens.
 StatusOr<DagRewriteResult> RewriteToDatalog(
     const UnionOfCqs& query, const TgdProgram& program,
-    const DagRewriteOptions& options = {});
+    const RewriterOptions& options = {});
 
 }  // namespace ontorew
 

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -126,6 +127,15 @@ Status OntologyServer::AddTenant(TenantSpec spec) {
   }
   if (tenants_.count(spec.name) != 0) {
     return InvalidArgumentError(StrCat("duplicate tenant '", spec.name, "'"));
+  }
+  const TenantQuota& quota = spec.quota;
+  if (quota.burst > 0 &&
+      (!std::isfinite(quota.burst) || !std::isfinite(quota.qps) ||
+       quota.burst < 1 || quota.qps <= 0)) {
+    return InvalidArgumentError(StrCat(
+        "tenant '", spec.name, "' quota: with burst > 0, burst must be a "
+        "finite number >= 1 and qps a finite number > 0 (got burst=",
+        quota.burst, ", qps=", quota.qps, ")"));
   }
 
   auto tenant = std::make_unique<Tenant>(spec);

@@ -23,10 +23,10 @@
 #include "serving/rewrite_cache.h"
 
 // A multi-tenant ontology server (DESIGN.md §11 "Serving over the
-// wire"): one process hosts many named tenants, each an immutable
-// {program, database, fingerprint} snapshot behind its own AnswerEngine,
-// and answers the newline-delimited protocol of server/wire.h over
-// loopback TCP. Because rewritings are data-independent and cache keys
+// wire"): one process hosts many named tenants, each its own AnswerEngine
+// over a program and database fixed when the tenant is added, and
+// answers the newline-delimited protocol of server/wire.h over loopback
+// TCP. Because rewritings are data-independent and cache keys
 // embed the program fingerprint, all tenants share ONE RewriteCache —
 // tenants hosting the same ontology warm each other, distinct programs
 // can never collide.
@@ -82,11 +82,16 @@
 namespace ontorew {
 
 struct TenantQuota {
-  // Sustained requests/second refilled into the bucket; <= 0 with
-  // burst <= 0 disables the rate quota.
+  // Sustained requests/second refilled into the bucket. With burst > 0
+  // it must be finite and > 0: a bucket that never refills would shed
+  // every request after the first `burst` as retryable, forever.
+  // Ignored when burst <= 0.
   double qps = 0;
   // Bucket capacity — how many requests may arrive back-to-back before
-  // the rate limit bites. <= 0 disables the quota.
+  // the rate limit bites. <= 0 disables the rate quota; otherwise it
+  // must be finite and >= 1, since a bucket that never holds a whole
+  // token admits nothing. AddTenant rejects other values as
+  // InvalidArgument.
   double burst = 0;
   // Concurrent requests for this tenant; 0 = unlimited (the global cap
   // still applies).
@@ -132,9 +137,10 @@ class OntologyServer {
   OntologyServer(const OntologyServer&) = delete;
   OntologyServer& operator=(const OntologyServer&) = delete;
 
-  // Registers a tenant. InvalidArgument on empty/duplicate names or
-  // program/facts that do not parse; FailedPrecondition after Start (the
-  // tenant table is immutable while serving — snapshot semantics).
+  // Registers a tenant. InvalidArgument on empty/duplicate names, a rate
+  // quota outside TenantQuota's ranges, or program/facts that do not
+  // parse; FailedPrecondition after Start (the tenant table is immutable
+  // while serving).
   Status AddTenant(TenantSpec spec);
 
   // Binds, listens and spawns the acceptor + worker threads. Internal

@@ -35,12 +35,9 @@ void MixAtoms(std::uint64_t* hash, const std::vector<Atom>& atoms) {
   }
 }
 
-// The cache key for `query` under a specific program fingerprint — the
-// fingerprint must come from the same snapshot the rewriting will run
-// against, or a rewriting computed from a newer program could be cached
-// under an older program's key. The target name keeps kUcq and kCte
-// entries (different artifacts: flat union vs factored program) from
-// aliasing in a shared cache.
+// The cache key for `query` under the program with `fingerprint`. The
+// target name keeps kUcq and kCte entries (different artifacts: flat
+// union vs factored program) from aliasing in a shared cache.
 std::string CacheKeyFor(const UnionOfCqs& query, std::uint64_t fingerprint,
                         RewriteTarget target) {
   std::vector<std::string> keys;
@@ -92,86 +89,43 @@ std::uint64_t FingerprintProgram(const TgdProgram& program) {
 
 AnswerEngine::AnswerEngine(TgdProgram program, Database db,
                            AnswerEngineOptions options)
-    : program_(std::make_shared<const TgdProgram>(std::move(program))),
+    : program_(std::move(program)),
       db_(std::make_shared<const Database>(std::move(db))),
       options_(WithBackend(std::move(options))),
-      fingerprint_(FingerprintProgram(*program_)),
+      fingerprint_(FingerprintProgram(program_)),
       cache_(options_.shared_cache != nullptr
                  ? options_.shared_cache
-                 : std::make_shared<RewriteCache>(options_.cache_capacity)) {
+                 : std::make_shared<RewriteCache>(kPrivateCacheCapacity)) {
   for (std::size_t c = 0; c < requests_by_status_.size(); ++c) {
     requests_by_status_[c] = &metrics_.RegisterCounter(StrCat(
         "requests_by_status_", StatusCodeName(static_cast<StatusCode>(c))));
   }
-  ReloadBackend();
-}
-
-AnswerEngine::Snapshot AnswerEngine::CurrentSnapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return Snapshot{program_, db_, fingerprint_, backend_status_};
-}
-
-void AnswerEngine::ReloadBackend() {
-  const Snapshot snap = CurrentSnapshot();
-  Status status;
   {
     TraceSpan load_span(TraceContext(), "load", &backend_load_ns_);
-    status = options_.backend->Load(*snap.program, snap.db);
+    backend_status_ = options_.backend->Load(program_, db_);
   }
-  if (status.ok()) backend_load_.Increment();
-  std::lock_guard<std::mutex> lock(mutex_);
-  backend_status_ = std::move(status);
-}
-
-void AnswerEngine::AddTgd(Tgd tgd) {
-  // Serialize mutators: two racing AddTgds must both land, and the
-  // snapshot swap below must pair each program with its own fingerprint.
-  std::lock_guard<std::mutex> update(update_mutex_);
-  auto next = std::make_shared<TgdProgram>(*CurrentSnapshot().program);
-  next->Add(std::move(tgd));
-  const std::uint64_t fingerprint = FingerprintProgram(*next);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    program_ = std::move(next);
-    fingerprint_ = fingerprint;
-  }
-  // The schema grew: the backend must know the new predicates.
-  ReloadBackend();
-}
-
-void AnswerEngine::ReplaceDatabase(Database db) {
-  std::lock_guard<std::mutex> update(update_mutex_);
-  auto next = std::make_shared<const Database>(std::move(db));
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    db_ = std::move(next);
-  }
-  ReloadBackend();
+  if (backend_status_.ok()) backend_load_.Increment();
 }
 
 std::string AnswerEngine::CacheKey(const UnionOfCqs& query,
                                    RewriteTarget target) const {
-  return CacheKeyFor(query, program_fingerprint(), target);
+  return CacheKeyFor(query, fingerprint_, target);
 }
 
 StatusOr<std::shared_ptr<const CachedRewriting>> AnswerEngine::RewriteInternal(
     const UnionOfCqs& query, const CancelScope& scope,
-    const TraceContext& trace, bool* cache_hit, const Snapshot& snap,
-    RewriteTarget target) {
+    const TraceContext& trace, bool* cache_hit, RewriteTarget target) {
   if (cache_hit != nullptr) *cache_hit = false;
 
   std::string key;
   {
     TraceSpan canonicalize_span(trace, "canonicalize");
-    key = CacheKeyFor(query, snap.fingerprint, target);
+    key = CacheKeyFor(query, fingerprint_, target);
   }
 
   {
     TraceSpan cache_span(trace, "rewrite-cache");
-    if (cache_->capacity() == 0) {
-      cache_span.Attr("cache", "disabled");
-    } else if (std::shared_ptr<const CachedRewriting> hit =
-                   cache_->Lookup(key)) {
+    if (std::shared_ptr<const CachedRewriting> hit = cache_->Lookup(key)) {
       cache_hit_.Increment();
       cache_span.Attr("cache", "hit");
       if (cache_hit != nullptr) *cache_hit = true;
@@ -201,7 +155,7 @@ StatusOr<std::shared_ptr<const CachedRewriting>> AnswerEngine::RewriteInternal(
       // entry caches the program alone. Data-independent like the flat
       // rewriting, so it is computed once per cache entry.
       StatusOr<DagRewriteResult> dag =
-          RewriteToDatalog(query, *snap.program, {.rewriter = rewriter});
+          RewriteToDatalog(query, program_, rewriter);
       if (!dag.ok()) {
         rewrite_span.AnnotateStatus(dag.status());
         return dag.status();
@@ -219,7 +173,7 @@ StatusOr<std::shared_ptr<const CachedRewriting>> AnswerEngine::RewriteInternal(
       entry->datalog = std::move(dag->program);
     } else {
       StatusOr<RewriteResult> rewritten =
-          RewriteUcq(query, *snap.program, rewriter);
+          RewriteUcq(query, program_, rewriter);
       if (!rewritten.ok()) {
         rewrite_span.AnnotateStatus(rewritten.status());
         return rewritten.status();
@@ -264,16 +218,10 @@ StatusOr<AnswerResult> AnswerEngine::Serve(const UnionOfCqs& query,
   if (status.ok()) status = CheckFaultPoint("serve.admit");
   if (!status.ok()) return fail(status);
 
-  // Pin the program/data for the whole request: a concurrent AddTgd or
-  // ReplaceDatabase swaps the engine's snapshot without disturbing this
-  // rewrite/eval, and the cache entry written below is keyed by the
-  // pinned fingerprint.
-  const Snapshot snap = CurrentSnapshot();
-
   AnswerResult result;
   StatusOr<std::shared_ptr<const CachedRewriting>> rewriting =
       RewriteInternal(query, scope, serve_span.context(), &result.cache_hit,
-                      snap, serve.target);
+                      serve.target);
   if (!rewriting.ok()) return fail(rewriting.status());
   const std::shared_ptr<const CachedRewriting> cached = *std::move(rewriting);
   result.rewriting = UcqOf(cached);
@@ -281,9 +229,9 @@ StatusOr<AnswerResult> AnswerEngine::Serve(const UnionOfCqs& query,
 
   {
     TraceSpan eval_span(serve_span.context(), "eval", &backend_exec_ns_);
-    if (!snap.backend_status.ok()) {
-      eval_span.AnnotateStatus(snap.backend_status);
-      return fail(snap.backend_status);
+    if (!backend_status_.ok()) {
+      eval_span.AnnotateStatus(backend_status_);
+      return fail(backend_status_);
     }
     Backend& backend = *options_.backend;
     eval_span.Attr("backend", backend.name());
@@ -322,10 +270,9 @@ StatusOr<ExplainResult> AnswerEngine::Explain(const UnionOfCqs& query,
   const CancelScope scope(serve.deadline, serve.cancel);
   TraceSpan root(TraceContext(explain.trace.get()), "explain");
 
-  const Snapshot snap = CurrentSnapshot();
   explain.target = serve.target;
   StatusOr<std::shared_ptr<const CachedRewriting>> rewriting = RewriteInternal(
-      query, scope, root.context(), &explain.cache_hit, snap, explain.target);
+      query, scope, root.context(), &explain.cache_hit, explain.target);
   if (!rewriting.ok()) {
     root.AnnotateStatus(rewriting.status());
     return rewriting.status();

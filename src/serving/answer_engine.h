@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -24,10 +23,11 @@
 #include "serving/rewrite_cache.h"
 
 // The serving layer: an AnswerEngine owns an ontology (TGD program) and a
-// database and answers certain-answer queries end-to-end. The paper's
-// FO-rewritability result makes the rewriting *data-independent*: it can
-// be computed once per (program, query-isomorphism-class) and reused for
-// every subsequent evaluation. The engine therefore keeps an LRU cache of
+// database, both fixed at construction, and answers certain-answer
+// queries end-to-end. The paper's FO-rewritability result makes the
+// rewriting *data-independent*: it can be computed once per (program,
+// query-isomorphism-class) and reused for every subsequent evaluation,
+// over any database. The engine therefore keeps an LRU cache of
 // rewritings keyed by (program fingerprint, canonical query key), hands
 // the cached rewriting to its Backend for evaluation — an InMemoryBackend
 // sharing the engine's Database unless the caller configures another —
@@ -52,7 +52,8 @@
 //   ServeOptions per_request;
 //   per_request.deadline = Deadline::AfterMillis(50);
 //   auto result = engine.Serve(query, per_request);
-//   std::puts(engine.metrics().Snapshot().ToString().c_str());
+//   std::printf("%lld cache hits\n",
+//               static_cast<long long>(engine.cache_stats().hits));
 //
 // Metric names (see DESIGN.md "Serving layer"):
 //   counters  queries_served, rewrite_cache_hit, rewrite_cache_miss,
@@ -63,19 +64,17 @@
 //             requests_by_status_<CodeName> (one per final Serve status)
 //   timers    rewrite_ns (saturation), factor_ns, backend_<name>_exec_ns
 //             (the eval span), backend_<name>_load_ns
-// A counter or timer shows in Snapshot() once it has been recorded to.
+// A counter or timer shows in the registry's snapshot once it has been
+// recorded to.
 
 namespace ontorew {
 
 struct AnswerEngineOptions {
-  // Maximum cached rewritings; 0 disables caching entirely. Ignored when
-  // shared_cache is set.
-  std::size_t cache_capacity = 128;
   // Optional externally-owned rewrite cache, shared across engines. Cache
   // keys embed each engine's program fingerprint, so tenants hosting the
   // same ontology share rewritings while distinct programs never collide
   // (see RewriteCache). Null: the engine creates a private cache of
-  // cache_capacity entries.
+  // kPrivateCacheCapacity entries.
   std::shared_ptr<RewriteCache> shared_cache;
   // Worker threads for UCQ evaluation (BackendExecOptions::num_threads).
   int num_threads = 0;
@@ -90,15 +89,18 @@ struct AnswerEngineOptions {
   // Where the rewriting runs. Null (the default) installs an
   // InMemoryBackend that shares the engine's Database (no copy). The
   // backend (e.g. a SqliteBackend sharing the caller's Vocabulary) is
-  // Load()ed with the engine's program and data at construction and on
-  // every ReplaceDatabase/AddTgd, and every Serve evaluates through it —
-  // the paper's "delegate to a plain SQL engine" architecture.
-  // Per-backend metrics: counters backend_<name>_exec /
-  // backend_<name>_load, timers backend_<name>_exec_ns /
-  // backend_<name>_load_ns. A failed Load surfaces from the next Serve
-  // as that error (the engine stays usable after a successful reload).
+  // Load()ed once, with the engine's program and data, at construction,
+  // and every Serve evaluates through it — the paper's "delegate to a
+  // plain SQL engine" architecture. Per-backend metrics: counters
+  // backend_<name>_exec / backend_<name>_load, timers
+  // backend_<name>_exec_ns / backend_<name>_load_ns. A failed Load is
+  // every Serve's error.
   std::shared_ptr<Backend> backend;
 };
+
+// Entries of the private rewrite cache an engine creates when
+// AnswerEngineOptions::shared_cache is null.
+inline constexpr std::size_t kPrivateCacheCapacity = 128;
 
 // Per-request controls for Serve.
 struct ServeOptions {
@@ -171,29 +173,17 @@ class AnswerEngine {
   AnswerEngine(TgdProgram program, Database db,
                AnswerEngineOptions options = {});
 
-  // The current program/data. NOT safe to hold across a concurrent
-  // AddTgd/ReplaceDatabase (which swap the underlying snapshot);
-  // concurrent Serve calls are unaffected — they pin their own snapshot.
-  const TgdProgram& program() const { return *program_; }
+  // The program and data the engine was built with; neither changes.
+  const TgdProgram& program() const { return program_; }
   const Database& db() const { return *db_; }
   const AnswerEngineOptions& options() const { return options_; }
 
   // Structural fingerprint of the owned program. Cache keys embed it, so
-  // changing the program makes every previous entry unreachable.
-  std::uint64_t program_fingerprint() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return fingerprint_;
-  }
+  // engines with different programs never share an entry, and engines
+  // with the same program share every entry.
+  std::uint64_t program_fingerprint() const { return fingerprint_; }
 
-  // Extends the ontology; recomputes the fingerprint (which invalidates
-  // cached rewritings) without touching the data.
-  void AddTgd(Tgd tgd);
-
-  // Swaps in new data. Rewritings are data-independent, so the cache
-  // stays warm across data refreshes.
-  void ReplaceDatabase(Database db);
-
-  // The cache key for `query` under the current program: fingerprint,
+  // The cache key for `query` under the engine's program: fingerprint,
   // the rewrite target's name, then the canonical key of each disjunct
   // (sorted — disjunct order and variable names do not matter). Exposed
   // for tests.
@@ -230,56 +220,29 @@ class AnswerEngine {
   RewriteCacheStats cache_stats() const;
 
  private:
-  // An immutable view of the engine's ontology + data, pinned by each
-  // request so AddTgd/ReplaceDatabase can swap the live state mid-flight
-  // without racing in-progress rewrites or scans. The
-  // fingerprint always matches `program` (they are captured together
-  // under mutex_), so a rewriting computed from this snapshot is cached
-  // under the key of the program that produced it — never under a newer
-  // program's key.
-  struct Snapshot {
-    std::shared_ptr<const TgdProgram> program;
-    std::shared_ptr<const Database> db;
-    std::uint64_t fingerprint = 0;
-    Status backend_status;  // Outcome of the last backend Load.
-  };
-  Snapshot CurrentSnapshot() const;
-
-  // (Re)loads options_.backend with the current program and data,
-  // recording load metrics; remembers the status for Serve. Callers must
-  // hold update_mutex_ (the constructor is exempt: no concurrency yet).
-  void ReloadBackend();
-
-  // Rewrite against a pinned snapshot, reporting whether the cache served
-  // it (directly, not via racy counter deltas) and recording
+  // Rewrite under the engine's program, reporting whether the cache
+  // served it (directly, not via racy counter deltas) and recording
   // canonicalize / rewrite-cache / rewrite (and, under kCte, factor)
   // spans under `trace`. A miss saturates under the request's `scope`
   // and publishes the complete, minimized result to the cache.
   StatusOr<std::shared_ptr<const CachedRewriting>> RewriteInternal(
       const UnionOfCqs& query, const CancelScope& scope,
-      const TraceContext& trace, bool* cache_hit, const Snapshot& snap,
-      RewriteTarget target);
+      const TraceContext& trace, bool* cache_hit, RewriteTarget target);
 
-  // The current snapshot's parts: read/swapped under mutex_; the pointees
-  // are immutable. The accessors above dereference without the lock —
-  // safe only absent concurrent mutation.
-  std::shared_ptr<const TgdProgram> program_;
-  std::shared_ptr<const Database> db_;
-  AnswerEngineOptions options_;  // options_.backend is never null.
-  std::uint64_t fingerprint_;
-  Status backend_status_;
-
-  // Serializes mutators (AddTgd, ReplaceDatabase): two racing AddTgds
-  // must not each extend the *original* program and lose one TGD.
-  std::mutex update_mutex_;
-
+  // Set once by the constructor and never written again, so concurrent
+  // Serves read them without a lock.
+  const TgdProgram program_;
+  // Shared with the default InMemoryBackend, which evaluates over it.
+  const std::shared_ptr<const Database> db_;
+  const AnswerEngineOptions options_;  // options_.backend is never null.
+  const std::uint64_t fingerprint_;
   // The rewrite cache: options_.shared_cache when set (cross-tenant
   // sharing), else a private instance. RewriteCache is internally
-  // thread-safe; mutex_ does not guard it.
-  std::shared_ptr<RewriteCache> cache_;
-
-  // Guards the snapshot swap.
-  mutable std::mutex mutex_;
+  // thread-safe.
+  const std::shared_ptr<RewriteCache> cache_;
+  // Outcome of the backend's one Load, returned by every Serve when not
+  // OK. Set in the constructor body, after the metric handles exist.
+  Status backend_status_;
 
   // Metric handles, registered once (names: see the top of this file).
   MetricsRegistry metrics_;

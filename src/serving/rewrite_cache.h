@@ -57,8 +57,6 @@ class RewriteCache {
   RewriteCache(const RewriteCache&) = delete;
   RewriteCache& operator=(const RewriteCache&) = delete;
 
-  std::size_t capacity() const { return capacity_; }
-
   // The cached rewriting for `key` (marked most-recently-used), or null
   // on a miss. Hit/miss counters move accordingly.
   std::shared_ptr<const CachedRewriting> Lookup(const std::string& key);

@@ -2,6 +2,7 @@
 
 #include <sqlite3.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -13,6 +14,7 @@
 #include "base/deadline.h"
 #include "base/fault_point.h"
 #include "base/rng.h"
+#include "base/strings.h"
 #include "base/trace.h"
 #include "db/eval.h"
 #include "gtest/gtest.h"
@@ -476,6 +478,77 @@ TEST(BackendTest, ReloadReplacesAllData) {
   StatusOr<std::vector<Tuple>> answers = sqlite.Execute(q, {});
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(*answers, std::vector<Tuple>{{c("e")}});
+}
+
+// The concurrent-load contract (backend.h): a Load racing Executes never
+// shows an Execute a database being replaced underneath it. One writer
+// alternates two databases while four readers execute; every answer must
+// be one whole database's.
+TEST(BackendTest, InMemoryLoadRacingExecuteAnswersOneWholeDatabase) {
+  Vocabulary vocab;
+  TgdProgram program = MustProgram("r(X, Y) -> s(X).", &vocab);
+  PredicateId r = vocab.FindPredicate("r");
+  auto c = [&](const std::string& name) {
+    return Value::Constant(vocab.InternConstant(name));
+  };
+  Database first_db;
+  Database second_db;
+  for (int i = 0; i < 40; ++i) {
+    first_db.Insert(r, {c(StrCat("a", i)), c("b")});
+    second_db.Insert(r, {c(StrCat("x", i)), c(StrCat("y", i))});
+    second_db.Insert(r, {c(StrCat("y", i)), c("z")});
+  }
+  const auto first = SharedDb(std::move(first_db));
+  const auto second = SharedDb(std::move(second_db));
+  StatusOr<RewriteResult> rewriting =
+      RewriteCq(MustQuery("q(X) :- s(X).", &vocab), program);
+  ASSERT_TRUE(rewriting.ok()) << rewriting.status();
+  const UnionOfCqs& ucq = rewriting->ucq;
+
+  BackendExecOptions exec;
+  exec.num_threads = 2;
+  std::vector<std::vector<Tuple>> expected;
+  for (const auto& db : {first, second}) {
+    InMemoryBackend reference;
+    ASSERT_TRUE(reference.Load(program, db).ok());
+    StatusOr<std::vector<Tuple>> answers = reference.Execute(ucq, exec);
+    ASSERT_TRUE(answers.ok()) << answers.status();
+    expected.push_back(*std::move(answers));
+  }
+  ASSERT_NE(expected[0], expected[1]);
+
+  InMemoryBackend backend;
+  ASSERT_TRUE(backend.Load(program, first).ok());
+  std::atomic<bool> executing{true};
+  std::atomic<int> failed_loads{0};
+  std::thread writer([&] {
+    for (int i = 0; executing.load(); ++i) {
+      if (!backend.Load(program, i % 2 == 0 ? second : first).ok()) {
+        ++failed_loads;
+      }
+    }
+  });
+  std::atomic<int> failed{0};
+  std::atomic<int> mismatched{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      for (int i = 0; i < 100; ++i) {
+        StatusOr<std::vector<Tuple>> answers = backend.Execute(ucq, exec);
+        if (!answers.ok()) {
+          ++failed;
+        } else if (*answers != expected[0] && *answers != expected[1]) {
+          ++mismatched;
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  executing.store(false);
+  writer.join();
+  EXPECT_EQ(failed_loads.load(), 0);
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(mismatched.load(), 0);
 }
 
 TEST(BackendTest, UniversityRewritingAgreesAcrossBackends) {

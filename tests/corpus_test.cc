@@ -97,10 +97,8 @@ TEST(CorpusTest, EveryReproReplaysGreenOnAllLegs) {
 
     // The DAG leg saturates independently (same saturator, its own gate
     // logic), so it gets its own budget.
-    DagRewriteOptions dag_options;
-    dag_options.rewriter = ReplayRewriterOptions();
-    StatusOr<DagRewriteResult> dag =
-        RewriteToDatalog(UnionOfCqs(c.query), c.program, dag_options);
+    StatusOr<DagRewriteResult> dag = RewriteToDatalog(
+        UnionOfCqs(c.query), c.program, ReplayRewriterOptions());
     ASSERT_TRUE(dag.ok()) << "dag rewrite failed: " << dag.status();
     ExpectLeg("dag/CTE", sqlite.ExecuteDatalog(dag->program, {}), c, vocab);
 

@@ -210,8 +210,8 @@ TEST(DagRewriterTest, InterfaceMergingFactorizationTripsG3) {
 TEST(DagRewriterTest, GroupSaturationErrorsPropagate) {
   Vocabulary vocab;
   TgdProgram program = UniversityOntology(&vocab);
-  DagRewriteOptions options;
-  options.rewriter.max_cqs = 1;
+  RewriterOptions options;
+  options.max_cqs = 1;
   StatusOr<DagRewriteResult> dag =
       RewriteToDatalog(UnionOfCqs(UniversityQ3(&vocab)), program, options);
   EXPECT_FALSE(dag.ok());

@@ -172,9 +172,8 @@ DiffOutcome RunTriple(const TgdProgram& program, const Database& db,
   // unique up to disjunct isomorphism), and its execution must agree.
   // Fresh deadline: the flat saturation above may have consumed most of
   // the shared one, and this leg is all hard errors.
-  DagRewriteOptions dag_options;
-  dag_options.rewriter = budget.rewriter;
-  dag_options.rewriter.cancel = CancelScope(Deadline::AfterMillis(2000));
+  RewriterOptions dag_options = budget.rewriter;
+  dag_options.cancel = CancelScope(Deadline::AfterMillis(2000));
   StatusOr<DagRewriteResult> dag =
       RewriteToDatalog(ucq, program, dag_options);
   if (!dag.ok()) {

@@ -735,6 +735,33 @@ TEST_F(ServerTest, AddTenantValidation) {
   EXPECT_EQ(server.AddTenant({.name = "bad", .program_text = "r(X ->"})
                 .code(),
             StatusCode::kInvalidArgument);
+  // Rate quotas that could never admit a request (no whole token) or
+  // never refill (what --burst without --qps builds), and non-finite ones.
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<TenantQuota> bad_quotas = {
+      {.qps = 1000, .burst = 0.5}, {.qps = 0, .burst = 3},
+      {.qps = -1, .burst = 3},     {.qps = kNaN, .burst = 3},
+      {.qps = kInf, .burst = 3},   {.qps = 10, .burst = kInf}};
+  for (std::size_t i = 0; i < bad_quotas.size(); ++i) {
+    const TenantQuota& quota = bad_quotas[i];
+    // A fresh name each time, so no case passes as a duplicate.
+    EXPECT_EQ(server
+                  .AddTenant({.name = "bad-quota-" + std::to_string(i),
+                              .program_text = kUniversityProgram,
+                              .facts_text = kUniversityFacts,
+                              .quota = quota})
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "qps=" << quota.qps << " burst=" << quota.burst;
+  }
+  // burst <= 0 disables the rate quota whatever qps says.
+  EXPECT_TRUE(server
+                  .AddTenant({.name = "no-quota",
+                              .program_text = kUniversityProgram,
+                              .facts_text = kUniversityFacts,
+                              .quota = {.qps = kNaN, .burst = 0}})
+                  .ok());
   ASSERT_TRUE(server.Start().ok());
   EXPECT_EQ(server
                 .AddTenant({.name = "late",

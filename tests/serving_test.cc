@@ -11,7 +11,6 @@
 #include "base/deadline.h"
 #include "base/fault_point.h"
 #include "base/rng.h"
-#include "base/strings.h"
 #include "base/trace.h"
 #include "chase/chase.h"
 #include "db/eval.h"
@@ -255,33 +254,59 @@ TEST(AnswerEngineTest, CacheHitsOnRepeatedAndIsomorphicQueries) {
   EXPECT_EQ(engine.cache_stats().misses, 1);
 }
 
-TEST(AnswerEngineTest, FingerprintChangesWhenTgdAdded) {
+TEST(AnswerEngineTest, DistinctProgramsNeverShareACacheEntry) {
   Vocabulary vocab;
   TgdProgram ontology = UniversityOntology(&vocab);
-  AnswerEngine engine(ontology, Database());
-  ConjunctiveQuery query = MustQuery("q(X) :- person(X).", &vocab);
+  TgdProgram extended = ontology;
+  extended.Add(MustTgd("visitor(X) -> person(X).", &vocab));
+  AnswerEngineOptions options;
+  options.shared_cache = std::make_shared<RewriteCache>(16);
+  const UnionOfCqs query(MustQuery("q(X) :- person(X).", &vocab));
 
-  std::uint64_t before = engine.program_fingerprint();
-  std::string key_before = engine.CacheKey(UnionOfCqs(query));
-  ASSERT_TRUE(engine.CertainAnswers(query).ok());
-  EXPECT_EQ(engine.cache_stats().misses, 1);
+  AnswerEngine first(ontology, Database(), options);
+  StatusOr<AnswerResult> original = first.Serve(query);
+  ASSERT_TRUE(original.ok()) << original.status();
+  EXPECT_FALSE(original->cache_hit);
 
-  engine.AddTgd(MustTgd("visitor(X) -> person(X).", &vocab));
-  EXPECT_NE(engine.program_fingerprint(), before);
-  EXPECT_NE(engine.CacheKey(UnionOfCqs(query)), key_before);
+  // The same program: same fingerprint and key, so the entry is shared.
+  AnswerEngine twin(ontology, Database(), options);
+  EXPECT_EQ(twin.program_fingerprint(), first.program_fingerprint());
+  EXPECT_EQ(twin.CacheKey(query), first.CacheKey(query));
+  StatusOr<AnswerResult> shared = twin.Serve(query);
+  ASSERT_TRUE(shared.ok()) << shared.status();
+  EXPECT_TRUE(shared->cache_hit);
+  EXPECT_EQ(shared->rewriting, original->rewriting);
 
-  // The old entry is unreachable: the same query misses and re-rewrites
-  // under the extended ontology.
-  ASSERT_TRUE(engine.CertainAnswers(query).ok());
-  EXPECT_EQ(engine.cache_stats().misses, 2);
-  EXPECT_EQ(engine.cache_stats().hits, 0);
+  // One TGD more: another fingerprint and key, so the first serve misses
+  // and rewrites under its own program (the visitor disjunct).
+  AnswerEngine grown(extended, Database(), options);
+  EXPECT_NE(grown.program_fingerprint(), first.program_fingerprint());
+  EXPECT_NE(grown.CacheKey(query), first.CacheKey(query));
+  StatusOr<AnswerResult> own = grown.Serve(query);
+  ASSERT_TRUE(own.ok()) << own.status();
+  EXPECT_FALSE(own->cache_hit);
+  EXPECT_EQ(own->rewriting->size(), original->rewriting->size() + 1);
+  EXPECT_EQ(grown.cache_stats().misses, 2);
+  EXPECT_EQ(grown.cache_stats().hits, 1);
+
+  // The fingerprint sees adding, removing and reordering TGDs.
+  ASSERT_GE(ontology.size(), 2);
+  const std::uint64_t base = FingerprintProgram(ontology);
+  EXPECT_NE(FingerprintProgram(extended), base);
+  std::vector<Tgd> tgds = ontology.tgds();
+  tgds.pop_back();
+  EXPECT_NE(FingerprintProgram(TgdProgram(tgds)), base);
+  tgds = ontology.tgds();
+  std::swap(tgds[0], tgds[1]);
+  EXPECT_NE(FingerprintProgram(TgdProgram(tgds)), base);
+  EXPECT_EQ(FingerprintProgram(TgdProgram(ontology.tgds())), base);
 }
 
 TEST(AnswerEngineTest, LruEvictsLeastRecentlyUsed) {
   Vocabulary vocab;
   TgdProgram ontology = UniversityOntology(&vocab);
   AnswerEngineOptions options;
-  options.cache_capacity = 2;
+  options.shared_cache = std::make_shared<RewriteCache>(2);
   AnswerEngine engine(ontology, Database(), options);
 
   ConjunctiveQuery q1 = MustQuery("q(X) :- person(X).", &vocab);
@@ -302,22 +327,41 @@ TEST(AnswerEngineTest, LruEvictsLeastRecentlyUsed) {
   EXPECT_EQ(engine.cache_stats().evictions, 2);
 }
 
-TEST(AnswerEngineTest, CacheSurvivesDataRefresh) {
+TEST(AnswerEngineTest, CachedRewritingServesEveryDatabase) {
   Vocabulary vocab;
   TgdProgram ontology = UniversityOntology(&vocab);
+  // Instances of different sizes, so their person sets differ.
   Rng rng(5);
-  Database db = UniversityInstance(UniversityInstanceOptions{}, &rng, &vocab);
-  AnswerEngine engine(ontology, std::move(db));
-  ConjunctiveQuery query = MustQuery("q(X) :- person(X).", &vocab);
+  Database first_db =
+      UniversityInstance(UniversityInstanceOptions{}, &rng, &vocab);
+  UniversityInstanceOptions smaller;
+  smaller.num_students = 5;
+  Database second_db = UniversityInstance(smaller, &rng, &vocab);
+  const UnionOfCqs query(MustQuery("q(X) :- person(X).", &vocab));
+  // Each database's answers, from engines with private caches.
+  StatusOr<std::vector<Tuple>> first_expected =
+      AnswerEngine(ontology, first_db).CertainAnswers(query);
+  StatusOr<std::vector<Tuple>> second_expected =
+      AnswerEngine(ontology, second_db).CertainAnswers(query);
+  ASSERT_TRUE(first_expected.ok()) << first_expected.status();
+  ASSERT_TRUE(second_expected.ok()) << second_expected.status();
+  ASSERT_NE(*first_expected, *second_expected);
 
-  ASSERT_TRUE(engine.CertainAnswers(query).ok());
-  Rng rng2(6);
-  engine.ReplaceDatabase(
-      UniversityInstance(UniversityInstanceOptions{}, &rng2, &vocab));
-  ASSERT_TRUE(engine.CertainAnswers(query).ok());
-  // Rewritings are data-independent: the refresh did not cost a miss.
-  EXPECT_EQ(engine.cache_stats().misses, 1);
-  EXPECT_EQ(engine.cache_stats().hits, 1);
+  AnswerEngineOptions options;
+  options.shared_cache = std::make_shared<RewriteCache>(16);
+  AnswerEngine first(ontology, std::move(first_db), options);
+  AnswerEngine second(ontology, std::move(second_db), options);
+  StatusOr<AnswerResult> a = first.Serve(query);
+  ASSERT_TRUE(a.ok()) << a.status();
+  EXPECT_FALSE(a->cache_hit);
+  // Rewritings are data-independent: the second database is served by
+  // the entry the first one's miss published.
+  StatusOr<AnswerResult> b = second.Serve(query);
+  ASSERT_TRUE(b.ok()) << b.status();
+  EXPECT_TRUE(b->cache_hit);
+  EXPECT_EQ(b->rewriting, a->rewriting);
+  EXPECT_EQ(a->answers, *first_expected);
+  EXPECT_EQ(b->answers, *second_expected);
 }
 
 // --- AnswerEngine: metrics --------------------------------------------------
@@ -496,35 +540,6 @@ TEST(AnswerEngineTest, SqliteBackendServesIdenticalAnswers) {
   EXPECT_EQ(snapshot.TimerNs("backend_inmemory_exec_ns"), 0);
 }
 
-TEST(AnswerEngineTest, ReplaceDatabaseReloadsBackend) {
-  Vocabulary vocab;
-  TgdProgram program = MustProgram("r(X, Y) -> s(X).", &vocab);
-  PredicateId r = vocab.FindPredicate("r");
-  auto c = [&](const char* name) {
-    return Value::Constant(vocab.InternConstant(name));
-  };
-  Database first;
-  first.Insert(r, {c("a"), c("b")});
-  Database second;
-  second.Insert(r, {c("x"), c("y")});
-  second.Insert(r, {c("y"), c("z")});
-
-  AnswerEngineOptions options;
-  options.backend = std::make_shared<SqliteBackend>(&vocab);
-  AnswerEngine engine(program, first, options);
-  ConjunctiveQuery query = MustQuery("q(X) :- r(X, Y).", &vocab);
-
-  StatusOr<std::vector<Tuple>> answers = engine.CertainAnswers(query);
-  ASSERT_TRUE(answers.ok()) << answers.status();
-  EXPECT_EQ(*answers, std::vector<Tuple>{{c("a")}});
-
-  engine.ReplaceDatabase(second);
-  answers = engine.CertainAnswers(query);
-  ASSERT_TRUE(answers.ok()) << answers.status();
-  EXPECT_EQ(*answers, (std::vector<Tuple>{{c("x")}, {c("y")}}));
-  EXPECT_EQ(engine.metrics().Snapshot().Counter("backend_sqlite_load"), 2);
-}
-
 TEST(AnswerEngineTest, BackendHonoursServeDeadline) {
   // The request deadline must reach the backend's progress handler: a
   // huge cross join through SQLite comes back DeadlineExceeded, and the
@@ -575,9 +590,6 @@ TEST(AnswerEngineTest, InMemoryBackendMatchesBuiltInPath) {
       std::dynamic_pointer_cast<InMemoryBackend>(engine.options().backend);
   ASSERT_NE(backend, nullptr);
   EXPECT_EQ(&backend->db(), &engine.db());
-  // A data refresh hands the backend the new snapshot, again uncopied.
-  engine.ReplaceDatabase(db);
-  EXPECT_EQ(&backend->db(), &engine.db());
 
   AnswerEngineOptions options;
   options.backend = std::make_shared<InMemoryBackend>();
@@ -589,67 +601,7 @@ TEST(AnswerEngineTest, InMemoryBackendMatchesBuiltInPath) {
   ASSERT_TRUE(b.ok()) << b.status();
   EXPECT_EQ(*a, *b);
   EXPECT_EQ(engine.metrics().Snapshot().Counter("backend_inmemory_exec"), 1);
-  EXPECT_EQ(engine.metrics().Snapshot().Counter("backend_inmemory_load"), 2);
-}
-
-TEST(AnswerEngineTest, ReplaceDatabaseRacingServesOnInMemoryBackend) {
-  // ReplaceDatabase reloads the backend while Serves execute on it: every
-  // answer must come from one whole database, never from one being
-  // replaced underneath the evaluation.
-  Vocabulary vocab;
-  TgdProgram program = MustProgram("r(X, Y) -> s(X).", &vocab);
-  PredicateId r = vocab.FindPredicate("r");
-  auto c = [&](const std::string& name) {
-    return Value::Constant(vocab.InternConstant(name));
-  };
-  Database first;
-  Database second;
-  for (int i = 0; i < 40; ++i) {
-    first.Insert(r, {c(StrCat("a", i)), c("b")});
-    second.Insert(r, {c(StrCat("x", i)), c(StrCat("y", i))});
-    second.Insert(r, {c(StrCat("y", i)), c("z")});
-  }
-  const ConjunctiveQuery query = MustQuery("q(X) :- s(X).", &vocab);
-  StatusOr<std::vector<Tuple>> first_answers =
-      AnswerEngine(program, first).CertainAnswers(query);
-  StatusOr<std::vector<Tuple>> second_answers =
-      AnswerEngine(program, second).CertainAnswers(query);
-  ASSERT_TRUE(first_answers.ok()) << first_answers.status();
-  ASSERT_TRUE(second_answers.ok()) << second_answers.status();
-  ASSERT_NE(*first_answers, *second_answers);
-
-  AnswerEngineOptions options;
-  options.backend = std::make_shared<InMemoryBackend>();
-  options.num_threads = 2;
-  AnswerEngine engine(program, first, options);
-
-  std::atomic<bool> serving{true};
-  std::thread writer([&] {
-    for (int i = 0; serving.load(); ++i) {
-      engine.ReplaceDatabase(i % 2 == 0 ? second : first);
-    }
-  });
-  std::atomic<int> failed{0};
-  std::atomic<int> mismatched{0};
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&] {
-      for (int i = 0; i < 100; ++i) {
-        StatusOr<std::vector<Tuple>> answers = engine.CertainAnswers(query);
-        if (!answers.ok()) {
-          failed.fetch_add(1);
-        } else if (*answers != *first_answers &&
-                   *answers != *second_answers) {
-          mismatched.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (std::thread& reader : readers) reader.join();
-  serving.store(false);
-  writer.join();
-  EXPECT_EQ(failed.load(), 0);
-  EXPECT_EQ(mismatched.load(), 0);
+  EXPECT_EQ(engine.metrics().Snapshot().Counter("backend_inmemory_load"), 1);
 }
 
 // --- The CTE rewrite target --------------------------------------------------
@@ -1314,27 +1266,41 @@ TEST(AnswerEngineExplainTest, WorksWithoutBackendAndHonoursDeadline) {
   EXPECT_EQ(aborted.status().code(), StatusCode::kDeadlineExceeded);
 }
 
-// --- Concurrent serves racing cache invalidation ------------------------------
+// --- Concurrent serves sharing one cache ------------------------------------
 
-// Regression stress for the rewrite-cache insert path: many threads
-// hammer the same key while the main thread keeps invalidating it via
-// AddTgd. Every serve must succeed with the same answers (the added
-// rules never fire — their body predicates have no facts), no serve may
-// observe a rewriting computed under a different fingerprint than it
-// pinned, and the cache must stay internally consistent. Run under TSan
-// in CI.
-TEST(AnswerEngineTest, ConcurrentServesSurviveCacheInvalidation) {
+// Regression stress for the rewrite-cache insert path: threads serve the
+// same query through two engines whose programs differ by one inert TGD
+// (no "visitor" facts exist, so answers agree), sharing a one-entry
+// cache, so every insert of one program's entry evicts the other's. Every
+// serve must succeed with its engine's answers, and every serve is a hit
+// or a miss. Run under TSan in CI.
+TEST(AnswerEngineTest, ConcurrentServesShareOneCacheAcrossPrograms) {
   Vocabulary vocab;
   TgdProgram ontology = UniversityOntology(&vocab);
+  TgdProgram extended = ontology;
+  extended.Add(MustTgd("visitor(X) -> person(X).", &vocab));
   Rng rng(41);
   UniversityInstanceOptions instance;
   instance.num_students = 10;
-  AnswerEngine engine(ontology, UniversityInstance(instance, &rng, &vocab));
-  UnionOfCqs query(MustQuery("q(X) :- person(X).", &vocab));
+  const Database db = UniversityInstance(instance, &rng, &vocab);
+  const UnionOfCqs query(MustQuery("q(X) :- person(X).", &vocab));
 
-  StatusOr<AnswerResult> reference = engine.Serve(query);
-  ASSERT_TRUE(reference.ok());
-  const std::vector<Tuple> expected = reference->answers;
+  // Reference answers from engines with private caches, so the shared
+  // cache counts only the stressed serves.
+  std::vector<std::vector<Tuple>> expected;
+  for (const TgdProgram* program : {&ontology, &extended}) {
+    StatusOr<std::vector<Tuple>> answers =
+        AnswerEngine(*program, db).CertainAnswers(query);
+    ASSERT_TRUE(answers.ok()) << answers.status();
+    expected.push_back(*std::move(answers));
+  }
+
+  AnswerEngineOptions options;
+  options.shared_cache = std::make_shared<RewriteCache>(1);
+  AnswerEngine base(ontology, db, options);
+  AnswerEngine grown(extended, db, options);
+  AnswerEngine* const engines[] = {&base, &grown};
+  ASSERT_NE(base.program_fingerprint(), grown.program_fingerprint());
 
   constexpr int kThreads = 8;
   constexpr int kServesPerThread = 25;
@@ -1345,40 +1311,28 @@ TEST(AnswerEngineTest, ConcurrentServesSurviveCacheInvalidation) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       for (int i = 0; i < kServesPerThread; ++i) {
+        const int which = (t + i) % 2;
         ServeOptions serve;
         Trace trace;
-        // Half the serves traced: the span hooks race invalidation too.
-        if ((t + i) % 2 == 0) serve.trace = &trace;
-        StatusOr<AnswerResult> result = engine.Serve(query, serve);
+        // Half the serves traced: the span hooks race the cache too.
+        if (t % 2 == 0) serve.trace = &trace;
+        StatusOr<AnswerResult> result = engines[which]->Serve(query, serve);
         if (!result.ok()) {
           ++failures;
-        } else if (result->answers != expected) {
+        } else if (result->answers != expected[which]) {
           ++wrong_answers;
         }
       }
     });
   }
-  // Keep invalidating the hammered entry: each AddTgd bumps the program
-  // fingerprint, so in-flight inserts race the key change. The new rules
-  // are inert (no "visitorN" facts exist) — answers must not change.
-  for (int i = 0; i < 20; ++i) {
-    engine.AddTgd(MustTgd(
-        StrCat("visitor", i, "(X) -> person(X).").c_str(), &vocab));
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
   for (std::thread& worker : workers) worker.join();
 
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(wrong_answers.load(), 0);
-  // The cache never grows past one live entry per fingerprint the
-  // serves actually pinned; every serve was either a hit or a miss.
-  const RewriteCacheStats stats = engine.cache_stats();
+  const RewriteCacheStats stats = options.shared_cache->stats();
   EXPECT_EQ(stats.hits + stats.misses,
-            static_cast<std::int64_t>(kThreads * kServesPerThread) + 1);
-  // A final serve under the settled fingerprint still agrees.
-  StatusOr<AnswerResult> final_serve = engine.Serve(query);
-  ASSERT_TRUE(final_serve.ok());
-  EXPECT_EQ(final_serve->answers, expected);
+            static_cast<std::int64_t>(kThreads * kServesPerThread));
+  EXPECT_LE(stats.size, 1u);
 }
 
 TEST(AnswerEngineTest, RequestsByStatusCountersSplitOutcomes) {
