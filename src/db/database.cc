@@ -1,6 +1,8 @@
 #include "db/database.h"
 
 #include <algorithm>
+#include <charconv>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -13,20 +15,44 @@ const std::vector<int>& EmptyIndexVector() {
   static const auto& empty = *new std::vector<int>();
   return empty;
 }
+
+void AppendValue(Value value, const Vocabulary& vocab, std::string* out) {
+  if (value.is_constant()) {
+    out->append(vocab.ConstantName(value.id()));
+    return;
+  }
+  char digits[16];
+  const char* end =
+      std::to_chars(digits, digits + sizeof(digits), value.id()).ptr;
+  out->append("_:n");
+  out->append(digits, static_cast<std::size_t>(end - digits));
+}
 }  // namespace
 
 std::string ToString(Value value, const Vocabulary& vocab) {
-  if (value.is_constant()) return vocab.ConstantName(value.id());
-  return StrCat("_:n", value.id());
+  std::string out;
+  AppendValue(value, vocab, &out);
+  return out;
+}
+
+void AppendTuple(const Tuple& tuple, const Vocabulary& vocab,
+                 std::string* out) {
+  out->push_back('(');
+  for (std::size_t i = 0; i < tuple.size(); ++i) {
+    if (i > 0) out->append(", ");
+    AppendValue(tuple[i], vocab, out);
+  }
+  out->push_back(')');
 }
 
 std::string ToString(const Tuple& tuple, const Vocabulary& vocab) {
-  return StrCat("(",
-                StrJoin(tuple, ", ",
-                        [&vocab](std::ostream& os, Value v) {
-                          os << ToString(v, vocab);
-                        }),
-                ")");
+  std::string out;
+  AppendTuple(tuple, vocab, &out);
+  return out;
+}
+
+void PrintTo(Value value, std::ostream* os) {
+  *os << (value.is_constant() ? "#" : "_:n") << value.id();
 }
 
 Relation::Relation(int arity) : arity_(arity) {

@@ -329,18 +329,55 @@ Status ForEachMatch(const std::vector<Atom>& atoms, const Database& db,
                  });
 }
 
+std::size_t RowBuffer::HashRow(const Value* row) const {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (int c = 0; c < width_; ++c) {
+    h = (h ^ row[c].Hash()) * 0xbf58476d1ce4e5b9ULL;
+  }
+  return static_cast<std::size_t>(h ^ (h >> 31));
+}
+
+bool RowBuffer::AddRow(const Value* row) {
+  if (2 * (rows_ + 1) > table_.size()) Grow();
+  const std::size_t width = static_cast<std::size_t>(width_);
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t i = HashRow(row) & mask;; i = (i + 1) & mask) {
+    const std::uint32_t entry = table_[i];
+    if (entry == 0) {
+      values_.insert(values_.end(), row, row + width);
+      table_[i] = static_cast<std::uint32_t>(++rows_);
+      return true;
+    }
+    if (std::equal(row, row + width, values_.data() + (entry - 1) * width)) {
+      return false;
+    }
+  }
+}
+
+void RowBuffer::Grow() {
+  OREW_CHECK(rows_ < UINT32_MAX / 2) << "RowBuffer overflow";
+  const std::size_t width = static_cast<std::size_t>(width_);
+  table_.assign(table_.empty() ? 16 : 2 * table_.size(), 0);
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t r = 0; r < rows_; ++r) {
+    std::size_t i = HashRow(values_.data() + r * width) & mask;
+    while (table_[i] != 0) i = (i + 1) & mask;
+    table_[i] = static_cast<std::uint32_t>(r + 1);
+  }
+}
+
 void RowBuffer::Append(RowBuffer&& other) {
   OREW_CHECK(other.width_ == width_);
-  values_.insert(values_.end(), other.values_.begin(), other.values_.end());
-  rows_ += other.rows_;
+  const std::size_t width = static_cast<std::size_t>(width_);
+  for (std::size_t r = 0; r < other.rows_; ++r) {
+    AddRow(other.values_.data() + r * width);
+  }
   other.values_.clear();
+  other.table_.clear();
   other.rows_ = 0;
 }
 
 std::vector<Tuple> RowBuffer::SortedUnique() const {
-  if (width_ == 0) {
-    return rows_ == 0 ? std::vector<Tuple>() : std::vector<Tuple>{Tuple()};
-  }
   const std::size_t width = static_cast<std::size_t>(width_);
   const auto row = [this, width](std::size_t i) {
     return values_.begin() + static_cast<std::ptrdiff_t>(i * width);
@@ -351,11 +388,6 @@ std::vector<Tuple> RowBuffer::SortedUnique() const {
     return std::lexicographical_compare(row(a), row(a + 1), row(b),
                                         row(b + 1));
   });
-  order.erase(std::unique(order.begin(), order.end(),
-                          [&](std::size_t a, std::size_t b) {
-                            return std::equal(row(a), row(a + 1), row(b));
-                          }),
-              order.end());
   std::vector<Tuple> result;
   result.reserve(order.size());
   for (std::size_t i : order) result.emplace_back(row(i), row(i + 1));
@@ -390,17 +422,14 @@ Status EvaluateInto(const ConjunctiveQuery& cq, const Database& db,
   }
   const bool drop_nulls = options.drop_tuples_with_nulls;
   std::pmr::vector<Value> slots(plan.variables.size(), &memory);
+  std::pmr::vector<Value> row(answer.size(), &memory);
   return RunPlan(plan, slots.data(), options.cancel, stats,
                  [&](const Value* values) {
-                   if (drop_nulls) {
-                     for (const Column& column : answer) {
-                       if (Resolve(column, values).is_null()) return true;
-                     }
+                   for (std::size_t c = 0; c < answer.size(); ++c) {
+                     row[c] = Resolve(answer[c], values);
+                     if (drop_nulls && row[c].is_null()) return true;
                    }
-                   Value* row = rows->AddRow();
-                   for (const Column& column : answer) {
-                     *row++ = Resolve(column, values);
-                   }
+                   rows->AddRow(row.data());
                    return true;
                  });
 }

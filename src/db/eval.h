@@ -2,6 +2,7 @@
 #define ONTOREW_DB_EVAL_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
@@ -30,8 +31,9 @@
 //  * Running is an index-nested-loop join over a flat array of slots.
 //    Each step probes the index of its constant or earlier-bound column
 //    with the shortest posting list (never a repeat column) and checks
-//    the other columns per tuple. Answers are written as rows into a
-//    flat RowBuffer and sorted and deduplicated once per UCQ.
+//    the other columns per tuple. Answers are inserted as rows into a
+//    flat RowBuffer, which keeps each distinct row once, and sorted once
+//    per UCQ.
 //
 // Evaluation is cooperatively cancellable and all-or-nothing: the cancel
 // scope is checked every kCancelCheckStride examined tuples, every
@@ -85,35 +87,43 @@ Status ForEachMatch(const std::vector<Atom>& atoms, const Database& db,
                     const CancelScope& cancel, EvalStats* stats,
                     const std::function<bool(SlotView)>& callback);
 
-// Answer rows of one width, stored back to back.
+// Distinct answer rows of one width, stored back to back in insertion
+// order. An open-addressing table of row indices (linear probing, at most
+// half full) finds an equal row on insert, so memory grows with distinct
+// rows, not with matches.
 class RowBuffer {
  public:
   explicit RowBuffer(int width) : width_(width) {}
 
   int width() const { return width_; }
+  // The number of distinct rows.
   std::size_t size() const { return rows_; }
 
-  // Appends one row and returns its width() cells for the caller to fill.
-  Value* AddRow() {
-    values_.resize(values_.size() + static_cast<std::size_t>(width_));
-    ++rows_;
-    return values_.data() + values_.size() - width_;
-  }
-  // Moves every row of `other`, which must have the same width, here.
+  // Inserts `row`, which holds width() cells, unless an equal row is
+  // already here. Returns whether it was new.
+  bool AddRow(const Value* row);
+  // Inserts every row of `other`, which must have the same width, and
+  // empties it.
   void Append(RowBuffer&& other);
 
-  // The distinct rows in ascending (std::set<Tuple>) order.
+  // The rows in ascending (std::set<Tuple>) order.
   std::vector<Tuple> SortedUnique() const;
 
  private:
+  std::size_t HashRow(const Value* row) const;
+  // Doubles the table (16 slots at first) and re-inserts every row.
+  void Grow();
+
   int width_;
   std::size_t rows_ = 0;
   std::vector<Value> values_;
+  // Row index + 1 per slot; 0 marks an empty slot. The size is 0 or a
+  // power of two.
+  std::vector<std::uint32_t> table_;
 };
 
-// Appends the answers of `cq` over `db` to *rows, whose width must be
-// cq.arity(), with options.drop_tuples_with_nulls applied per row.
-// Duplicates are kept; RowBuffer::SortedUnique removes them. On error
+// Inserts the answers of `cq` over `db` into *rows, whose width must be
+// cq.arity(), with options.drop_tuples_with_nulls applied per row. On error
 // *rows may hold some of the answers: callers discard it.
 Status EvaluateInto(const ConjunctiveQuery& cq, const Database& db,
                     const EvalOptions& options, EvalStats* stats,

@@ -2,6 +2,7 @@
 #define ONTOREW_DB_VALUE_H_
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -68,8 +69,15 @@ struct TupleHash {
 
 // "alice" for constants, "_:n7" for nulls.
 std::string ToString(Value value, const Vocabulary& vocab);
+// Appends "(alice, _:n7)" to *out.
+void AppendTuple(const Tuple& tuple, const Vocabulary& vocab,
+                 std::string* out);
 // "(alice, _:n7)".
 std::string ToString(const Tuple& tuple, const Vocabulary& vocab);
+
+// gtest's printer for values, which have no vocabulary at hand: "#3" for
+// constant 3, "_:n7" for null 7. A Tuple prints as "{ #3, _:n7 }".
+void PrintTo(Value value, std::ostream* os);
 
 }  // namespace ontorew
 

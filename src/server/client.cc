@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -94,22 +95,23 @@ StatusOr<WireResponse> ServerClient::Roundtrip(std::string_view request_line) {
 
   // Read lines until the END marker; anything past it stays buffered for
   // the next roundtrip (the server never pipelines, but a read can).
-  std::vector<std::string> lines;
+  std::optional<std::string> header;
+  std::vector<std::string> body;
   char chunk[4096];
   for (;;) {
-    std::size_t nl;
-    bool done = false;
-    while ((nl = buffer_.find('\n')) != std::string::npos) {
-      std::string received = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      if (!received.empty() && received.back() == '\r') received.pop_back();
-      if (received == kWireEnd) {
-        done = true;
-        break;
+    const bool more = ConsumeLines(&buffer_, [&](std::string_view received) {
+      if (!received.empty() && received.back() == '\r') {
+        received.remove_suffix(1);
       }
-      lines.push_back(std::move(received));
-    }
-    if (done) break;
+      if (received == kWireEnd) return false;
+      if (header.has_value()) {
+        body.emplace_back(received);
+      } else {
+        header.emplace(received);
+      }
+      return true;
+    });
+    if (!more) break;
     ssize_t n = read(fd_, chunk, sizeof(chunk));
     if (n <= 0) {
       Close();
@@ -117,13 +119,12 @@ StatusOr<WireResponse> ServerClient::Roundtrip(std::string_view request_line) {
     }
     buffer_.append(chunk, static_cast<std::size_t>(n));
   }
-  if (lines.empty()) {
+  if (!header.has_value()) {
     Close();
     return TransportError("empty response (no header before END)");
   }
-  std::string header = std::move(lines.front());
-  lines.erase(lines.begin());
-  StatusOr<WireResponse> parsed = ParseWireResponse(header, lines);
+  StatusOr<WireResponse> parsed =
+      ParseWireResponse(*header, std::move(body));
   if (!parsed.ok()) {
     Close();
     return TransportError(

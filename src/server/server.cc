@@ -83,11 +83,8 @@ std::int64_t CeilMillis(std::chrono::steady_clock::duration d) {
 std::string OntologyServer::Reply::Serialize() const {
   std::string out;
   if (status.ok()) {
-    out = FormatOkHeader(rows.size(), cache);
-    for (const std::string& row : rows) {
-      out += row;
-      out += '\n';
-    }
+    out = FormatOkHeader(row_count, cache);
+    out += body;
     for (const std::string& line : info) {
       out += "# ";
       out += line;
@@ -403,9 +400,10 @@ OntologyServer::Reply OntologyServer::ServeAdmitted(
   if (!vocab_lock.owns_lock()) vocab_lock.lock();
   Reply reply;
   reply.cache = result->cache_hit ? "hit" : "miss";
-  reply.rows.reserve(result->answers.size());
+  reply.row_count = result->answers.size();
   for (const Tuple& tuple : result->answers) {
-    reply.rows.push_back(ToString(tuple, tenant.vocab));
+    AppendTuple(tuple, tenant.vocab, &reply.body);
+    reply.body += '\n';
   }
   vocab_lock.unlock();
   if (trace_wanted) reply.info = SplitLines(trace.ToString());
@@ -560,17 +558,12 @@ bool OntologyServer::ServiceReadable(Connection* conn) {
     close(fd);
     return false;
   }
-  std::size_t nl;
-  while ((nl = conn->buffer.find('\n')) != std::string::npos) {
-    std::string line = conn->buffer.substr(0, nl);
-    conn->buffer.erase(0, nl + 1);
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    if (!WriteAll(fd, ServeLine(line))) {
-      close(fd);
-      return false;
-    }
-  }
-  return true;
+  const bool written = ConsumeLines(&conn->buffer, [&](std::string_view line) {
+    return line.find_first_not_of(" \t\r") == std::string_view::npos ||
+           WriteAll(fd, ServeLine(line));
+  });
+  if (!written) close(fd);
+  return written;
 }
 
 }  // namespace ontorew

@@ -200,7 +200,8 @@ class OntologyServer {
     Status status;  // OK or the error for the ERR header.
     std::int64_t retry_after_ms = 0;
     std::string cache = "none";  // "hit" | "miss" | "none".
-    std::vector<std::string> rows;
+    std::size_t row_count = 0;
+    std::string body;  // row_count rendered rows, each ending in '\n'.
     std::vector<std::string> info;
     std::string Serialize() const;
   };

@@ -6,13 +6,19 @@
 // Tenants come from --tenant=name:program-file:facts-file (repeatable)
 // and/or --demo (two built-in toy ontologies). SIGINT/SIGTERM trigger a
 // graceful drain: inflight requests finish (up to --drain-ms), new ones
-// are shed with a retryable error, then the process exits 0.
+// are shed with a retryable error, then the process exits 0. A numeric
+// flag must be a whole number in range (a finite number for --qps and
+// --burst); anything else is a usage error, exit status 2.
 
+#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,6 +29,10 @@
 #include "server/server.h"
 
 namespace {
+
+// The most worker threads --workers may ask for.
+constexpr int kMaxWorkers = 1024;
+constexpr std::size_t kSizeMax = std::numeric_limits<std::size_t>::max();
 
 volatile std::sig_atomic_t g_stop = 0;
 void HandleSignal(int) { g_stop = 1; }
@@ -63,6 +73,31 @@ borrows(ada, tractatus).
 borrows(kurt, principia).
 )";
 
+// Parses all of `text` as a base-10 integer in [min, max].
+template <typename Int>
+bool ParseIntFlag(const char* text, Int min, Int max, Int* out) {
+  const char* end = text + std::strlen(text);
+  Int value{};
+  const auto [ptr, error] = std::from_chars(text, end, value);
+  if (error != std::errc() || ptr != end || value < min || value > max) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+// Parses all of `text` as a finite decimal number.
+bool ParseDoubleFlag(const char* text, double* out) {
+  if (*text == '\0' || std::isspace(static_cast<unsigned char>(*text))) {
+    return false;
+  }
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (*end != '\0' || !std::isfinite(value)) return false;
+  *out = value;
+  return true;
+}
+
 int Usage(const char* argv0) {
   std::fprintf(
       stderr,
@@ -96,20 +131,23 @@ int main(int argc, char** argv) {
       const std::size_t len = std::strlen(prefix);
       return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len : nullptr;
     };
+    bool valid = true;
     if (const char* v = value_of("--port=")) {
-      options.port = std::atoi(v);
+      valid = ParseIntFlag(v, 0, 65535, &options.port);
     } else if (const char* v = value_of("--workers=")) {
-      options.num_workers = std::atoi(v);
+      valid = ParseIntFlag(v, 1, kMaxWorkers, &options.num_workers);
     } else if (const char* v = value_of("--max-inflight=")) {
-      options.max_inflight_global = static_cast<std::size_t>(std::atol(v));
+      valid = ParseIntFlag(v, std::size_t{0}, kSizeMax,
+                           &options.max_inflight_global);
     } else if (const char* v = value_of("--drain-ms=")) {
-      drain_ms = std::atol(v);
+      valid = ParseIntFlag(v, 0L, std::numeric_limits<long>::max(),
+                           &drain_ms);
     } else if (const char* v = value_of("--qps=")) {
-      quota.qps = std::atof(v);
+      valid = ParseDoubleFlag(v, &quota.qps);
     } else if (const char* v = value_of("--burst=")) {
-      quota.burst = std::atof(v);
+      valid = ParseDoubleFlag(v, &quota.burst);
     } else if (const char* v = value_of("--tenant-inflight=")) {
-      quota.max_inflight = static_cast<std::size_t>(std::atol(v));
+      valid = ParseIntFlag(v, std::size_t{0}, kSizeMax, &quota.max_inflight);
     } else if (const char* v = value_of("--tenant=")) {
       tenant_args.emplace_back(v);
     } else if (arg == "--demo") {
@@ -117,6 +155,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--sqlite") {
       use_sqlite = true;
     } else {
+      return Usage(argv[0]);
+    }
+    if (!valid) {
+      std::fprintf(stderr, "invalid value for %s\n",
+                   arg.substr(0, arg.find('=')).c_str());
       return Usage(argv[0]);
     }
   }

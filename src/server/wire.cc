@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <limits>
 #include <optional>
+#include <utility>
 
 #include "base/strings.h"
 
@@ -151,8 +152,8 @@ StatusCode StatusCodeFromName(std::string_view name) {
   return StatusCode::kInternal;
 }
 
-StatusOr<WireResponse> ParseWireResponse(
-    std::string_view header, const std::vector<std::string>& body) {
+StatusOr<WireResponse> ParseWireResponse(std::string_view header,
+                                         std::vector<std::string> body) {
   std::string_view rest = header;
   while (!rest.empty() && (rest.back() == '\r' || rest.back() == '\n')) {
     rest.remove_suffix(1);
@@ -174,14 +175,15 @@ StatusOr<WireResponse> ParseWireResponse(
     if (!rows.has_value()) {
       return InvalidArgumentError("OK header carries no rows=");
     }
-    for (const std::string& line : body) {
+    response.rows.reserve(body.size());
+    for (std::string& line : body) {
       if (!line.empty() && line.front() == '#') {
         std::string_view info = line;
         info.remove_prefix(1);
         if (!info.empty() && info.front() == ' ') info.remove_prefix(1);
         response.info.emplace_back(info);
       } else {
-        response.rows.push_back(line);
+        response.rows.push_back(std::move(line));
       }
     }
     if (*rows != static_cast<std::int64_t>(response.rows.size())) {

@@ -89,12 +89,33 @@ inline constexpr std::string_view kWireEnd = "END";
 
 // --- Parsing (client side) -------------------------------------------------
 
-// Parses the header line plus body lines (everything before "END").
+// Parses the header line plus body lines (everything before "END"). Row
+// lines are moved, not copied, into WireResponse::rows.
 // InvalidArgument on a malformed header, including an OK header whose
 // `rows=` is missing, not a number, or not the count of body lines that
 // do not start with '#' (a truncated body).
-StatusOr<WireResponse> ParseWireResponse(
-    std::string_view header, const std::vector<std::string>& body);
+StatusOr<WireResponse> ParseWireResponse(std::string_view header,
+                                         std::vector<std::string> body);
+
+// --- Line framing (both ends) -----------------------------------------------
+
+// Hands every complete line of *buffer to `on_line` in order, without its
+// '\n', until `on_line` returns false. Then erases, in one move, the
+// prefix holding the lines it handed out; a trailing partial line stays.
+// Returns false when `on_line` stopped early. The view passed to
+// `on_line` points into *buffer and is valid only during the call.
+template <typename OnLine>
+bool ConsumeLines(std::string* buffer, OnLine&& on_line) {
+  std::size_t start = 0;
+  std::size_t nl = 0;
+  bool more = true;
+  while (more && (nl = buffer->find('\n', start)) != std::string::npos) {
+    more = on_line(std::string_view(buffer->data() + start, nl - start));
+    start = nl + 1;
+  }
+  buffer->erase(0, start);
+  return more;
+}
 
 // Inverse of StatusCodeName; kInternal for unknown names.
 StatusCode StatusCodeFromName(std::string_view name);

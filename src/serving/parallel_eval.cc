@@ -41,7 +41,7 @@ StatusOr<std::vector<Tuple>> ParallelEvaluate(const UnionOfCqs& ucq,
 
   // Workers pull disjunct indices from a shared counter (cheap dynamic
   // load balancing: rewritings are skewed, a few disjuncts dominate) and
-  // append answer rows to private flat buffers — no shared mutable state
+  // insert answer rows into private flat buffers — no shared mutable state
   // until the deterministic merge below. A pool-local token, chained under
   // the caller's, short-circuits the siblings of the first failing worker:
   // their in-flight scans stop at the next stride check and no further

@@ -13,11 +13,11 @@
 
 // Parallel UCQ evaluation: the disjuncts of a union are independent CQs,
 // so they fan out across a small pool of worker threads, each with its own
-// EvalStats and flat RowBuffer of answer rows; the per-worker buffers are
-// concatenated, then sorted and deduplicated once. The result is a set
-// union, so it is byte-identical to single-threaded evaluation regardless
-// of thread count or scheduling — the determinism the serving layer's
-// tests assert.
+// EvalStats and flat RowBuffer of distinct answer rows; the other
+// workers' rows are re-inserted into worker 0's buffer, whose rows are
+// then sorted once. The result is a set union, so it is byte-identical to
+// single-threaded evaluation regardless of thread count or scheduling —
+// the determinism the serving layer's tests assert.
 //
 // Failure is all-or-nothing: the first worker whose evaluation errors
 // (arity mismatch, deadline, injected fault) trips a pool-local token

@@ -27,6 +27,26 @@ TEST(ValueTest, ToStringFormats) {
             "(alice, _:n0)");
 }
 
+TEST(DatabaseTest, AppendTupleAppendsItsToString) {
+  Vocabulary vocab;
+  const Tuple tuple{Value::Constant(vocab.InternConstant("alice")),
+                    Value::Null(7)};
+  std::string out = "prefix ";
+  AppendTuple(tuple, vocab, &out);
+  EXPECT_EQ(out, "prefix " + ToString(tuple, vocab));
+  EXPECT_EQ(out, "prefix (alice, _:n7)");
+
+  out = "x";
+  AppendTuple(Tuple(), vocab, &out);
+  EXPECT_EQ(out, "x" + ToString(Tuple(), vocab));
+  EXPECT_EQ(out, "x()");
+}
+
+TEST(ValueTest, GtestPrintsIdsNotBytes) {
+  EXPECT_EQ(testing::PrintToString(Tuple{Value::Constant(3), Value::Null(7)}),
+            "{ #3, _:n7 }");
+}
+
 TEST(RelationTest, InsertDedupes) {
   Relation relation(2);
   Tuple t = {Value::Constant(0), Value::Constant(1)};

@@ -1,8 +1,10 @@
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
@@ -251,6 +253,77 @@ TEST_F(EvalTest, ZeroAryUnionAnswersEmptyTupleOrNothing) {
   answers = TryEvaluate(no, db_);
   ASSERT_TRUE(answers.ok()) << answers.status();
   EXPECT_TRUE(answers->empty());
+}
+
+// --- RowBuffer: distinct rows at insert --------------------------------------
+
+// A random cell: a constant or a null, each from 600 ids.
+Value RandomCell(Rng* rng) {
+  const int id = rng->Uniform(600);
+  return rng->Bernoulli(0.5) ? Value::Constant(id) : Value::Null(id);
+}
+
+TEST(RowBufferTest, KeepsDistinctRowsThroughRehashes) {
+  for (int width : {1, 2, 3}) {
+    SCOPED_TRACE(width);
+    Rng rng(static_cast<std::uint64_t>(width) * 104729);
+    std::vector<Tuple> pool;
+    std::set<Tuple> distinct;
+    while (distinct.size() < 1000) {
+      Tuple row;
+      for (int c = 0; c < width; ++c) row.push_back(RandomCell(&rng));
+      if (distinct.insert(row).second) pool.push_back(row);
+    }
+    // 20k inserts: the first 1000 bring every pool row once, the rest
+    // repeat them, so the 16-slot table grows through seven rehashes
+    // while most inserts are duplicates.
+    RowBuffer rows(width);
+    std::size_t added = 0;
+    for (int i = 0; i < 20000; ++i) {
+      const Tuple& row = i < 1000 ? pool[static_cast<std::size_t>(i)]
+                                  : pool[static_cast<std::size_t>(
+                                        rng.Uniform(1000))];
+      added += rows.AddRow(row.data()) ? 1 : 0;
+    }
+    EXPECT_EQ(added, distinct.size());
+    EXPECT_EQ(rows.size(), distinct.size());
+    EXPECT_EQ(rows.SortedUnique(),
+              std::vector<Tuple>(distinct.begin(), distinct.end()));
+  }
+}
+
+TEST(RowBufferTest, AppendMergesOverlappingBuffers) {
+  const Value a = Value::Constant(1);
+  const Value b = Value::Constant(2);
+  const Value n = Value::Null(1);
+  RowBuffer left(2);
+  RowBuffer right(2);
+  for (const Tuple& row : {Tuple{b, a}, Tuple{a, n}, Tuple{a, b}}) {
+    left.AddRow(row.data());
+  }
+  for (const Tuple& row : {Tuple{a, n}, Tuple{n, n}, Tuple{b, a}}) {
+    right.AddRow(row.data());
+  }
+  left.Append(std::move(right));
+  EXPECT_EQ(right.size(), 0u);
+  EXPECT_EQ(left.size(), 4u);
+  EXPECT_EQ(left.SortedUnique(),
+            (std::vector<Tuple>{{a, b}, {a, n}, {b, a}, {n, n}}));
+  // An emptied buffer takes rows again.
+  EXPECT_TRUE(right.AddRow(Tuple{a, a}.data()));
+  EXPECT_EQ(right.SortedUnique(), (std::vector<Tuple>{{a, a}}));
+}
+
+TEST(RowBufferTest, ZeroWidthHoldsAtMostTheEmptyRow) {
+  RowBuffer none(0);
+  EXPECT_EQ(none.size(), 0u);
+  EXPECT_EQ(none.SortedUnique(), std::vector<Tuple>());
+
+  RowBuffer some(0);
+  EXPECT_TRUE(some.AddRow(nullptr));
+  for (int i = 0; i < 100; ++i) EXPECT_FALSE(some.AddRow(nullptr));
+  EXPECT_EQ(some.size(), 1u);
+  EXPECT_EQ(some.SortedUnique(), std::vector<Tuple>{Tuple()});
 }
 
 TEST_F(EvalTest, MixedArityUnionIsInvalid) {

@@ -1,8 +1,15 @@
 #include "server/server.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <future>
 #include <limits>
 #include <optional>
@@ -12,6 +19,7 @@
 
 #include "base/fault_point.h"
 #include "base/status.h"
+#include "base/strings.h"
 #include "gtest/gtest.h"
 #include "server/client.h"
 #include "server/token_bucket.h"
@@ -58,7 +66,7 @@ WireResponse MustParse(const std::string& serialized) {
     if (lines[i] == kWireEnd) break;
     body.push_back(lines[i]);
   }
-  StatusOr<WireResponse> parsed = ParseWireResponse(header, body);
+  StatusOr<WireResponse> parsed = ParseWireResponse(header, std::move(body));
   EXPECT_TRUE(parsed.ok()) << parsed.status() << " for: " << serialized;
   return parsed.ok() ? *std::move(parsed) : WireResponse{};
 }
@@ -715,6 +723,91 @@ TEST_F(ServerTest, StatsAndTenantsVerbs) {
   // The backend is named as in its metrics and spans.
   EXPECT_NE(tenants.info[0].find("backend=inmemory"), std::string::npos)
       << tenants.info[0];
+}
+
+TEST_F(ServerTest, LargeRepliesSpanManyReadsOnOneConnection) {
+  // 2500 teaching facts. Constants are interned in the order the facts
+  // list them, and that order is also their text order, so the server's
+  // answer order is the text order of the expected rows.
+  constexpr int kFacts = 2500;
+  std::string facts;
+  std::vector<std::string> pairs;
+  std::vector<std::string> people;
+  for (int i = 0; i < kFacts; ++i) {
+    char person[8];
+    char course[8];
+    std::snprintf(person, sizeof(person), "p%04d", i);
+    std::snprintf(course, sizeof(course), "c%04d", i);
+    facts += StrCat("teaches(", person, ", ", course, ").\n");
+    pairs.push_back(StrCat("(", person, ", ", course, ")"));
+    people.push_back(StrCat("(", person, ")"));
+  }
+  OntologyServer server;
+  ASSERT_TRUE(server
+                  .AddTenant({.name = "uni",
+                              .program_text = kUniversityProgram,
+                              .facts_text = facts})
+                  .ok());
+  ASSERT_TRUE(server.Start().ok());
+  StatusOr<ServerClient> connected = ServerClient::Connect(server.port());
+  ASSERT_TRUE(connected.ok()) << connected.status();
+  ServerClient client = std::move(connected).value();
+
+  // Each reply is 17-35 KB, several of the client's 4096-byte reads; the
+  // second starts on the connection the first one left behind.
+  StatusOr<WireResponse> taught =
+      client.Query("uni", "q(X, C) :- teaches(X, C).");
+  ASSERT_TRUE(taught.ok()) << taught.status();
+  ASSERT_TRUE(taught->status.ok()) << taught->status;
+  EXPECT_EQ(taught->rows, pairs);
+  StatusOr<WireResponse> persons = client.Query("uni", "q(X) :- person(X).");
+  ASSERT_TRUE(persons.ok()) << persons.status();
+  ASSERT_TRUE(persons->status.ok()) << persons->status;
+  EXPECT_EQ(persons->rows, people);
+  EXPECT_TRUE(client.Ping().ok());
+}
+
+TEST_F(ServerTest, AnswersEveryLineOfOneSend) {
+  OntologyServer server;
+  ASSERT_TRUE(server
+                  .AddTenant({.name = "uni",
+                              .program_text = kUniversityProgram,
+                              .facts_text = kUniversityFacts})
+                  .ok());
+  ASSERT_TRUE(server.Start().ok());
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  // A server that leaves a line unanswered fails the test, not hangs it.
+  const timeval read_timeout{.tv_sec = 10, .tv_usec = 0};
+  ASSERT_EQ(setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &read_timeout,
+                       sizeof(read_timeout)),
+            0);
+
+  // Four requests and a blank line in one send: the server's reads see
+  // several lines at once and must answer each, in order.
+  const std::string requests =
+      "PING\n\nPING\r\nQUERY tenant=uni q(X) :- person(X).\nPING\n";
+  ASSERT_EQ(send(fd, requests.data(), requests.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(requests.size()));
+  const std::string want =
+      "OK rows=0 cache=none\nEND\n"
+      "OK rows=0 cache=none\nEND\n"
+      "OK rows=2 cache=miss\n(ada)\n(turing)\nEND\n"
+      "OK rows=0 cache=none\nEND\n";
+  std::string received;
+  char chunk[256];
+  while (received.size() < want.size()) {
+    const ssize_t n = read(fd, chunk, sizeof(chunk));
+    if (n <= 0) break;
+    received.append(chunk, static_cast<std::size_t>(n));
+  }
+  close(fd);
+  EXPECT_EQ(received, want);
 }
 
 TEST_F(ServerTest, AddTenantValidation) {
