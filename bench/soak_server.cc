@@ -15,8 +15,10 @@
 //     anything but non-retryable InvalidArgument / NotFound;
 //   * unbounded tail latency (p99 over the bound — a hang, not a slow
 //     request);
-//   * SQLITE_BUSY bursts that were NOT absorbed: the busy fault must
-//     have tripped while every sqlite-tenant success stayed exact.
+//   * SQLITE_BUSY contention left unproven: the busy fault must have
+//     tripped, each trip reaching the client as a retryable Unavailable
+//     that the RetryingClient rides out, and the sqlite tenant must still
+//     have answered, every OK exact.
 // Zero crashes is the implicit check: the soak finishing IS the result.
 //
 //   soak_server --requests=20000 --threads=8 --seed=1 --fault-rate=0.01
@@ -36,6 +38,7 @@
 #include <vector>
 
 #include "base/fault_point.h"
+#include "base/rng.h"
 #include "base/status.h"
 #include "base/strings.h"
 #include "server/client.h"
@@ -53,13 +56,6 @@ struct SoakOptions {
   double busy_rate = 0.05;
   std::int64_t p99_bound_ms = 5000;
 };
-
-std::uint64_t SplitMix(std::uint64_t* state) {
-  std::uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 struct Probe {
   std::string tenant;
@@ -109,6 +105,8 @@ struct Tally {
   std::atomic<std::int64_t> err_permanent{0};
   std::atomic<std::int64_t> transport{0};
   std::atomic<std::int64_t> sqlite_ok{0};
+  // RetryingClient::retries() summed over the client threads.
+  std::atomic<std::int64_t> client_retries{0};
   std::mutex latency_mutex;
   std::vector<std::int64_t> latencies_ms;
   std::mutex code_mutex;
@@ -194,7 +192,7 @@ void ClientThread(int port, std::uint64_t seed,
                   std::atomic<std::int64_t>* budget,
                   std::atomic<bool>* draining, Tally* tally,
                   Violations* violations) {
-  std::uint64_t rng = seed | 1;
+  Rng rng(seed | 1);
   RetryPolicy policy;
   policy.max_attempts = 6;
   policy.jitter_seed = seed;
@@ -202,7 +200,7 @@ void ClientThread(int port, std::uint64_t seed,
   ServerClient raw;  // For PING/STATS/TENANTS sprinkles.
 
   while (budget->fetch_sub(1, std::memory_order_acq_rel) > 0) {
-    const std::uint64_t roll = SplitMix(&rng) % 100;
+    const std::uint64_t roll = rng.Next() % 100;
     const auto start = std::chrono::steady_clock::now();
 
     if (roll < 2) {  // Malformed query: MUST come back non-retryable.
@@ -237,13 +235,13 @@ void ClientThread(int port, std::uint64_t seed,
         (void)response;  // Transport faults here are chaos, not failures.
       }
     } else {  // A real query against a known probe.
-      const Probe& probe = probes[SplitMix(&rng) % probes.size()];
-      const std::uint64_t deadline_roll = SplitMix(&rng) % 10;
+      const Probe& probe = probes[rng.Next() % probes.size()];
+      const std::uint64_t deadline_roll = rng.Next() % 10;
       // Mostly roomy deadlines; some tight ones to exercise queue-side
       // expiry; some absent.
       const std::int64_t deadline_ms =
           deadline_roll < 2 ? 0 : (deadline_roll < 4 ? 5 : 500);
-      const bool trace = (SplitMix(&rng) % 20) == 0;
+      const bool trace = (rng.Next() % 20) == 0;
       StatusOr<WireResponse> response =
           client.Query(probe.tenant, probe.query, deadline_ms, trace);
       if (!response.ok()) {
@@ -292,6 +290,7 @@ void ClientThread(int port, std::uint64_t seed,
     std::lock_guard<std::mutex> lock(tally->latency_mutex);
     tally->latencies_ms.push_back(ms);
   }
+  tally->client_retries.fetch_add(client.retries());
 }
 
 int Run(const SoakOptions& options) {
@@ -344,8 +343,9 @@ int Run(const SoakOptions& options) {
   faults.Arm("rewrite.step",
              {.probability = p / 10, .seed = options.seed + 4});
   faults.Arm("eval.scan", {.probability = p / 50, .seed = options.seed + 5});
-  // Synthetic SQLITE_BUSY contention, well above the fault rate: the
-  // backend's exponential backoff must absorb it invisibly.
+  // Synthetic SQLITE_BUSY contention, well above the fault rate: each trip
+  // fails its request with a retryable Unavailable, and the clients'
+  // RetryingClient backs off and resends.
   faults.Arm("backend.busy",
              {.probability = options.busy_rate, .seed = options.seed + 6});
 
@@ -395,9 +395,11 @@ int Run(const SoakOptions& options) {
                   static_cast<long long>(count));
     }
   }
-  std::printf("soak: p99=%lldms busy_trips=%lld sqlite_ok=%lld drain=%s\n",
+  std::printf("soak: p99=%lldms busy_trips=%lld client_retries=%lld "
+              "sqlite_ok=%lld drain=%s\n",
               static_cast<long long>(p99),
               static_cast<long long>(busy_trips),
+              static_cast<long long>(tally.client_retries.load()),
               static_cast<long long>(tally.sqlite_ok.load()),
               drained.ToString().c_str());
   const RewriteCacheStats cache = server.shared_cache_stats();
@@ -428,7 +430,7 @@ int Run(const SoakOptions& options) {
   }
   if (tally.sqlite_ok.load() == 0) {
     std::fprintf(stderr,
-                 "FAIL: no sqlite-tenant success — busy backoff unproven\n");
+                 "FAIL: no sqlite-tenant success — busy retry unproven\n");
     ++failures;
   }
   std::printf(failures == 0 ? "soak: PASS\n" : "soak: FAIL\n");

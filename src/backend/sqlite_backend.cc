@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -27,25 +26,20 @@ std::int64_t EncodeCell(Value value) {
                          : value.id();
 }
 
-Status SqliteError(sqlite3* conn, std::string_view what) {
-  return InternalError(
+// The one mapping from a SQLite result code to a Status. Busy/locked
+// (the low byte strips SQLite's extended detail) means another connection
+// holds a conflicting lock right now: transient, so Unavailable, which the
+// wire marks retryable and the client backs off from. Any other code is
+// Internal. `conn` supplies the message; null falls back to the code's
+// generic text.
+Status SqliteError(int rc, sqlite3* conn, std::string_view what) {
+  std::string message =
       StrCat("sqlite: ", what, ": ",
-             conn != nullptr ? sqlite3_errmsg(conn) : "no connection"));
-}
-
-// Busy/locked are transient lock contention, retried with backoff; the
-// low byte strips SQLite's extended result-code detail.
-bool IsBusyRc(int rc) {
+             conn != nullptr ? sqlite3_errmsg(conn) : sqlite3_errstr(rc));
   const int primary = rc & 0xff;
-  return primary == SQLITE_BUSY || primary == SQLITE_LOCKED;
-}
-
-// splitmix64 step for backoff jitter (matches base/rng.h).
-std::uint64_t NextJitter(std::uint64_t* state) {
-  std::uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return primary == SQLITE_BUSY || primary == SQLITE_LOCKED
+             ? UnavailableError(std::move(message))
+             : InternalError(std::move(message));
 }
 
 // Rewinds a cached statement and zeroes its counters on every exit path,
@@ -136,79 +130,31 @@ SqliteBackend::~SqliteBackend() {
   sqlite3_close(conn_);
 }
 
-Status SqliteBackend::WaitBusyBackoff(int attempt, const CancelScope& cancel,
-                                      std::string_view what) {
-  busy_retries_.fetch_add(1, std::memory_order_relaxed);
-  if (attempt >= options_.busy_max_retries) {
-    return UnavailableError(
-        StrCat("sqlite: ", what, ": database busy after ", attempt + 1,
-               " attempts — retry with backoff"));
-  }
-  OREW_RETURN_IF_ERROR(cancel.Check("sqlite.busy-backoff"));
-  // Exponential base delay, then full jitter over [delay/2, delay]: the
-  // herd that collided once must not collide again in lockstep.
-  std::chrono::nanoseconds delay = options_.busy_initial_backoff;
-  for (int i = 0; i < attempt && delay < options_.busy_max_backoff; ++i) {
-    delay *= 2;
-  }
-  delay = std::min(delay, options_.busy_max_backoff);
-  const std::uint64_t half =
-      static_cast<std::uint64_t>(delay.count() / 2) + 1;
-  delay = std::chrono::nanoseconds(
-      delay.count() / 2 +
-      static_cast<std::int64_t>(NextJitter(&busy_rng_state_) % half));
-  // Never sleep past the request's own deadline.
-  if (!cancel.deadline().is_infinite()) {
-    const auto remaining = cancel.deadline().remaining();
-    if (remaining < delay) delay = remaining;
-  }
-  if (delay > std::chrono::nanoseconds::zero()) {
-    std::this_thread::sleep_for(delay);
-  }
-  return cancel.Check("sqlite.busy-backoff");
-}
-
 Status SqliteBackend::RunSql(const std::string& sql) {
-  int attempt = 0;
-  for (;;) {
-    char* error = nullptr;
-    const int rc = sqlite3_exec(conn_, sql.c_str(), nullptr, nullptr, &error);
-    if (rc == SQLITE_OK) {
-      sqlite3_free(error);
-      return Status::Ok();
-    }
-    Status status = InternalError(
-        StrCat("sqlite: ", error != nullptr ? error : "unknown error",
-               " while executing: ", sql));
-    sqlite3_free(error);
-    if (!IsBusyRc(rc)) return status;
-    OREW_RETURN_IF_ERROR(WaitBusyBackoff(attempt++, CancelScope(), "exec"));
-  }
+  const int rc = sqlite3_exec(conn_, sql.c_str(), nullptr, nullptr, nullptr);
+  return rc == SQLITE_OK ? Status::Ok()
+                         : SqliteError(rc, conn_, StrCat("exec: ", sql));
 }
 
 StatusOr<sqlite3_stmt*> SqliteBackend::Prepare(const std::string& sql,
-                                               const CancelScope& cancel,
                                                unsigned int flags) {
   sqlite3_stmt* stmt = nullptr;
-  for (int attempt = 0;;) {
-    const int rc = sqlite3_prepare_v3(conn_, sql.c_str(),
-                                      static_cast<int>(sql.size()) + 1, flags,
-                                      &stmt, nullptr);
-    if (rc == SQLITE_OK) return stmt;
-    if (!IsBusyRc(rc)) return SqliteError(conn_, StrCat("prepare: ", sql));
-    OREW_RETURN_IF_ERROR(WaitBusyBackoff(attempt++, cancel, "prepare"));
-  }
+  const int rc = sqlite3_prepare_v3(conn_, sql.c_str(),
+                                    static_cast<int>(sql.size()) + 1, flags,
+                                    &stmt, nullptr);
+  if (rc != SQLITE_OK) return SqliteError(rc, conn_, StrCat("prepare: ", sql));
+  return stmt;
 }
 
 StatusOr<sqlite3_stmt*> SqliteBackend::CachedStatement(
-    const std::string& sql, const CancelScope& cancel) {
+    const std::string& sql) {
   auto it = statement_index_.find(sql);
   if (it != statement_index_.end()) {
     statements_.splice(statements_.begin(), statements_, it->second);
     return it->second->stmt;
   }
   OREW_ASSIGN_OR_RETURN(sqlite3_stmt * stmt,
-                        Prepare(sql, cancel, SQLITE_PREPARE_PERSISTENT));
+                        Prepare(sql, SQLITE_PREPARE_PERSISTENT));
   statements_.push_front(CachedStmt{sql, stmt});
   statement_index_.emplace(statements_.front().sql, statements_.begin());
   if (statements_.size() > kStatementCacheCapacity) {
@@ -283,7 +229,7 @@ Status SqliteBackend::Load(const TgdProgram& /*program*/,
 
     const std::string insert = StrCat("INSERT INTO ", table, " VALUES (",
                                       StrJoin(holes, ", "), ");");
-    StatusOr<sqlite3_stmt*> stmt_or = Prepare(insert, CancelScope());
+    StatusOr<sqlite3_stmt*> stmt_or = Prepare(insert);
     if (!stmt_or.ok()) {
       status = stmt_or.status();
       break;
@@ -292,26 +238,21 @@ Status SqliteBackend::Load(const TgdProgram& /*program*/,
     StmtGuard guard(stmt);
     for (const Tuple& tuple : relation.tuples()) {
       for (int j = 0; j < arity; ++j) {
-        if (sqlite3_bind_int64(stmt, j + 1,
-                               EncodeCell(tuple[static_cast<std::size_t>(
-                                   j)])) != SQLITE_OK) {
-          status = SqliteError(conn_, "bind");
+        const int rc = sqlite3_bind_int64(
+            stmt, j + 1, EncodeCell(tuple[static_cast<std::size_t>(j)]));
+        if (rc != SQLITE_OK) {
+          status = SqliteError(rc, conn_, "bind");
           break;
         }
       }
       if (!status.ok()) break;
-      // Busy on an insert step retries the same row after a reset; the
-      // surrounding transaction keeps the load all-or-nothing.
-      for (int attempt = 0;;) {
-        const int rc = sqlite3_step(stmt);
-        if (rc == SQLITE_DONE) break;
-        status = IsBusyRc(rc)
-                     ? WaitBusyBackoff(attempt++, CancelScope(), "insert step")
-                     : SqliteError(conn_, "insert step");
-        if (!status.ok()) break;
-        sqlite3_reset(stmt);
+      // A failed step (busy included) ends the load; the surrounding
+      // transaction rolls back, so it stays all-or-nothing.
+      const int rc = sqlite3_step(stmt);
+      if (rc != SQLITE_DONE) {
+        status = SqliteError(rc, conn_, "insert step");
+        break;
       }
-      if (!status.ok()) break;
       sqlite3_reset(stmt);
     }
     if (!status.ok()) break;
@@ -450,8 +391,7 @@ StatusOr<std::vector<Tuple>> SqliteBackend::ExecuteDatalog(
 StatusOr<std::vector<Tuple>> SqliteBackend::RunQuerySql(
     const std::string& sql, int arity, const BackendExecOptions& options,
     EvalStats* stats) {
-  OREW_ASSIGN_OR_RETURN(sqlite3_stmt * stmt,
-                        CachedStatement(sql, options.cancel));
+  OREW_ASSIGN_OR_RETURN(sqlite3_stmt * stmt, CachedStatement(sql));
   StmtReset reset(stmt);
   ProgressGuard progress(conn_, options.cancel,
                          kProgressPollInstructions);
@@ -479,64 +419,51 @@ StatusOr<std::vector<Tuple>> SqliteBackend::RunQuerySql(
   const std::int64_t num_constants = vocab_->num_constants();
   std::vector<Tuple> answers;
   std::int64_t rows_matched = 0;
-  // The scan restarts from scratch on SQLITE_BUSY/SQLITE_LOCKED (answers
-  // cleared, statement reset): a busy retry must stay all-or-nothing, the
-  // same contract cancellation has. An armed "backend.busy" fault trips
-  // exactly like a busy return from the statement.
-  for (int busy_attempt = 0;;) {
-    answers.clear();
-    rows_matched = 0;
-    bool busy = !CheckFaultPoint("backend.busy").ok();
-    for (; !busy;) {
-      const int rc = sqlite3_step(stmt);
-      if (rc == SQLITE_DONE) break;
-      if (IsBusyRc(rc)) {
-        busy = true;
-        break;
-      }
-      if (rc == SQLITE_INTERRUPT) {
-        Status tripped = options.cancel.Check("sqlite.exec");
-        Status interrupted =
-            tripped.ok() ? CancelledError("sqlite: statement interrupted")
-                         : tripped;
-        scan_span.AnnotateStatus(interrupted);
-        return interrupted;
-      }
-      if (rc != SQLITE_ROW) {
-        Status step_error = SqliteError(conn_, "step");
-        scan_span.AnnotateStatus(step_error);
-        return step_error;
-      }
-      ++rows_matched;
-      Tuple tuple;
-      tuple.reserve(static_cast<std::size_t>(arity));
-      bool has_null = false;
-      for (int j = 0; j < arity; ++j) {
-        const std::int64_t cell = sqlite3_column_int64(stmt, j);
-        if (cell < 0) {
-          has_null = true;
-          tuple.push_back(Value::Null(static_cast<std::int32_t>(-(cell + 1))));
-          continue;
-        }
-        if (cell >= num_constants) {
-          Status unknown = InternalError(
-              StrCat("sqlite: result cell ", cell,
-                     " is not a constant id of the vocabulary"));
-          scan_span.AnnotateStatus(unknown);
-          return unknown;
-        }
-        tuple.push_back(Value::Constant(static_cast<ConstantId>(cell)));
-      }
-      if (has_null && options.drop_tuples_with_nulls) continue;
-      answers.push_back(std::move(tuple));
+  // An armed "backend.busy" fault trips exactly like a busy first step:
+  // the same retryable Unavailable, with nothing stepped.
+  if (!CheckFaultPoint("backend.busy").ok()) {
+    Status busy = SqliteError(SQLITE_BUSY, nullptr, "step");
+    scan_span.AnnotateStatus(busy);
+    return busy;
+  }
+  for (;;) {
+    const int rc = sqlite3_step(stmt);
+    if (rc == SQLITE_DONE) break;
+    if (rc == SQLITE_INTERRUPT) {
+      Status tripped = options.cancel.Check("sqlite.exec");
+      Status interrupted =
+          tripped.ok() ? CancelledError("sqlite: statement interrupted")
+                       : tripped;
+      scan_span.AnnotateStatus(interrupted);
+      return interrupted;
     }
-    if (!busy) break;
-    Status backoff = WaitBusyBackoff(busy_attempt++, options.cancel, "step");
-    if (!backoff.ok()) {
-      scan_span.AnnotateStatus(backoff);
-      return backoff;
+    if (rc != SQLITE_ROW) {
+      Status step_error = SqliteError(rc, conn_, "step");
+      scan_span.AnnotateStatus(step_error);
+      return step_error;
     }
-    sqlite3_reset(stmt);
+    ++rows_matched;
+    Tuple tuple;
+    tuple.reserve(static_cast<std::size_t>(arity));
+    bool has_null = false;
+    for (int j = 0; j < arity; ++j) {
+      const std::int64_t cell = sqlite3_column_int64(stmt, j);
+      if (cell < 0) {
+        has_null = true;
+        tuple.push_back(Value::Null(static_cast<std::int32_t>(-(cell + 1))));
+        continue;
+      }
+      if (cell >= num_constants) {
+        Status unknown = InternalError(
+            StrCat("sqlite: result cell ", cell,
+                   " is not a constant id of the vocabulary"));
+        scan_span.AnnotateStatus(unknown);
+        return unknown;
+      }
+      tuple.push_back(Value::Constant(static_cast<ConstantId>(cell)));
+    }
+    if (has_null && options.drop_tuples_with_nulls) continue;
+    answers.push_back(std::move(tuple));
   }
   if (stats != nullptr) stats->matches += rows_matched;
   const int fullscan_steps =
@@ -558,16 +485,12 @@ StatusOr<std::int64_t> SqliteBackend::StoredTuples() {
   std::lock_guard<std::mutex> lock(mutex_);
   std::int64_t total = 0;
   for (const auto& [p, table] : tables_) {
-    std::string sql = StrCat("SELECT COUNT(*) FROM ", table, ";");
-    sqlite3_stmt* stmt = nullptr;
-    if (sqlite3_prepare_v2(conn_, sql.c_str(), -1, &stmt, nullptr) !=
-        SQLITE_OK) {
-      return SqliteError(conn_, StrCat("prepare: ", sql));
-    }
+    OREW_ASSIGN_OR_RETURN(
+        sqlite3_stmt * stmt,
+        Prepare(StrCat("SELECT COUNT(*) FROM ", table, ";")));
     StmtGuard guard(stmt);
-    if (sqlite3_step(stmt) != SQLITE_ROW) {
-      return SqliteError(conn_, "count step");
-    }
+    const int rc = sqlite3_step(stmt);
+    if (rc != SQLITE_ROW) return SqliteError(rc, conn_, "count step");
     total += sqlite3_column_int64(stmt, 0);
   }
   return total;

@@ -1,8 +1,6 @@
 #ifndef ONTOREW_BACKEND_SQLITE_BACKEND_H_
 #define ONTOREW_BACKEND_SQLITE_BACKEND_H_
 
-#include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -53,6 +51,16 @@ struct sqlite3_stmt;
 // thousand VM instructions and interrupts the statement when it trips,
 // surfacing DeadlineExceeded/Cancelled — never a partial answer set.
 //
+// Lock contention is typed, not waited out: SQLITE_BUSY / SQLITE_LOCKED
+// from any exec, prepare, bind or step (another connection to a file
+// database holds a conflicting lock) surface at once as Unavailable,
+// which the wire marks retryable; the client's RetryingClient backs off
+// and resends (server/client.h). Nothing in this backend sleeps or
+// retries; sqlite3_busy_timeout stays unset, since it would sleep inside
+// sqlite3_step, under the connection mutex, blind to the request
+// deadline. The "backend.busy" fault point, checked once before a scan's
+// first step, injects that same Unavailable against any database.
+//
 // One connection serves one statement at a time: Load and Execute
 // serialize on an internal mutex (the engine above fans parallelism
 // across requests, not within a connection), so the connection is opened
@@ -64,20 +72,6 @@ struct SqliteBackendOptions {
   // ":memory:" (the default) keeps the database private to the process;
   // any other value is a filesystem path.
   std::string path = ":memory:";
-
-  // --- Transient-contention retry ------------------------------------------
-  // SQLITE_BUSY / SQLITE_LOCKED mean another connection (file databases,
-  // WAL checkpoints) holds a conflicting lock right now — a transient
-  // condition, not a failure. Every prepare/step retries it with bounded
-  // exponential backoff plus deterministic (fixed-seed) jitter; once
-  // busy_max_retries attempts are exhausted the call surfaces kUnavailable
-  // (retryable on the wire), never a generic Internal error. Backoff sleeps never
-  // overshoot the request deadline. The "backend.busy" fault point
-  // simulates a busy return on any armed trip, so tests and the soak
-  // harness can inject contention bursts against in-memory databases.
-  int busy_max_retries = 8;
-  std::chrono::nanoseconds busy_initial_backoff = std::chrono::microseconds(200);
-  std::chrono::nanoseconds busy_max_backoff = std::chrono::milliseconds(20);
 };
 
 class SqliteBackend : public Backend {
@@ -96,8 +90,11 @@ class SqliteBackend : public Backend {
   // Finalizes every cached statement, drops every table from a previous
   // Load, and creates, fills, indexes and ANALYZEs one table per
   // predicate with stored facts, in one transaction. Predicates without
-  // facts (including the program's) get no table. Errors: Internal on
-  // SQLite failures (including a failed open in the constructor).
+  // facts (including the program's) get no table. Errors: Unavailable
+  // when another connection holds a conflicting lock, Internal on other
+  // SQLite failures (including a failed open in the constructor). A
+  // failed Load rolls its transaction back and leaves the backend
+  // unloaded.
   Status Load(const TgdProgram& program,
               std::shared_ptr<const Database> db) override;
 
@@ -105,9 +102,9 @@ class SqliteBackend : public Backend {
   // an empty relation, as in the in-memory evaluator. Errors:
   // FailedPrecondition before a successful Load, InvalidArgument on
   // invalid queries, DeadlineExceeded/Cancelled when options.cancel trips
-  // mid-statement, an injected "backend.exec" fault, Unavailable when busy/locked
-  // retries are exhausted (see busy_max_retries above), Internal on other
-  // SQLite failures.
+  // mid-statement, an injected "backend.exec" fault, Unavailable on lock
+  // contention or an injected "backend.busy" fault (see the top of this
+  // file), Internal on other SQLite failures.
   StatusOr<std::vector<Tuple>> Execute(const UnionOfCqs& ucq,
                                        const BackendExecOptions& options,
                                        EvalStats* stats = nullptr) override;
@@ -133,29 +130,15 @@ class SqliteBackend : public Backend {
   // fallback in ExecuteDatalog without building 500-disjunct programs.
   Status SetCompoundSelectLimitForTest(int limit);
 
-  // Busy/locked attempts absorbed by backoff so far (injected or real) —
-  // the soak harness asserts a contention burst lands here, not in failed
-  // requests.
-  std::int64_t busy_retries() const {
-    return busy_retries_.load(std::memory_order_relaxed);
-  }
-
  private:
+  // Executes `sql` (one or more statements). Callers hold mutex_.
   Status RunSql(const std::string& sql);
-  // Sleeps the bounded-exponential backoff for 0-based busy `attempt`
-  // (jittered, capped by busy_max_backoff and the scope's remaining
-  // deadline). kUnavailable once attempts are exhausted;
-  // DeadlineExceeded/Cancelled when `cancel` trips. Callers hold mutex_.
-  Status WaitBusyBackoff(int attempt, const CancelScope& cancel,
-                         std::string_view what);
-  // Prepares `sql` with busy retries. Callers hold mutex_.
+  // Prepares `sql`; the caller finalizes. Callers hold mutex_.
   StatusOr<sqlite3_stmt*> Prepare(const std::string& sql,
-                                  const CancelScope& cancel,
                                   unsigned int flags = 0);
   // The cached statement for `sql`, prepared and cached (evicting the
   // least recently used one) on a miss. Callers hold mutex_.
-  StatusOr<sqlite3_stmt*> CachedStatement(const std::string& sql,
-                                          const CancelScope& cancel);
+  StatusOr<sqlite3_stmt*> CachedStatement(const std::string& sql);
   // Finalizes and forgets every cached statement. Callers hold mutex_.
   void ClearStatementCache();
   // Scans one emitted SQL query on its cached statement: progress-handler
@@ -172,8 +155,6 @@ class SqliteBackend : public Backend {
   Status open_status_;
 
   std::mutex mutex_;  // Serializes Load/Execute on the connection.
-  std::uint64_t busy_rng_state_ = 1;     // Jitter state; guarded by mutex_.
-  std::atomic<std::int64_t> busy_retries_{0};
   bool loaded_ = false;
   // Quoted table name of each predicate with stored tuples; guarded by
   // mutex_, like everything below.

@@ -5,18 +5,6 @@
 #include "base/strings.h"
 
 namespace ontorew {
-namespace {
-
-// splitmix64 step (matches base/rng.h) — the registry keeps raw state
-// per point rather than an Rng to stay movable inside the map.
-std::uint64_t NextRandom(std::uint64_t* state) {
-  std::uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 FaultRegistry& FaultRegistry::Global() {
   static FaultRegistry* registry = new FaultRegistry();
@@ -28,7 +16,7 @@ void FaultRegistry::Arm(std::string_view point, FaultPointConfig config) {
   PointState& state = points_[std::string(point)];
   if (!state.is_armed) armed_count_.fetch_add(1, std::memory_order_relaxed);
   state.is_armed = true;
-  state.rng_state = config.seed;
+  state.rng = Rng(config.seed);
   state.config = std::move(config);
 }
 
@@ -61,10 +49,9 @@ Status FaultRegistry::Check(std::string_view point) {
     ++state.hits;
     if (!state.is_armed) return Status::Ok();
     if (state.hits <= state.config.after) return Status::Ok();
-    if (state.config.probability < 1.0) {
-      double draw =
-          static_cast<double>(NextRandom(&state.rng_state) >> 11) * 0x1.0p-53;
-      if (draw >= state.config.probability) return Status::Ok();
+    if (state.config.probability < 1.0 &&
+        !state.rng.Bernoulli(state.config.probability)) {
+      return Status::Ok();
     }
     ++state.trips;
     injected = Status(state.config.code,

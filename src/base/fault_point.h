@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "base/rng.h"
 #include "base/status.h"
 
 // Fault injection: named points in production code paths that tests arm
@@ -41,7 +42,7 @@
 //   serve.admit    start of AnswerEngine::Serve, after the server
 //                  admitted the request
 //   backend.exec   entry of SqliteBackend::Execute
-//   backend.busy   simulates SQLITE_BUSY before each scan attempt
+//   backend.busy   simulates SQLITE_BUSY before a scan's first step
 //   server.accept  after accept() in the OntologyServer listener
 //   server.read    every read() on a server connection
 
@@ -103,7 +104,7 @@ class FaultRegistry {
     bool is_armed = false;
     std::int64_t hits = 0;
     std::int64_t trips = 0;
-    std::uint64_t rng_state = 1;
+    Rng rng{1};
   };
 
   std::atomic<int> armed_count_{0};

@@ -34,13 +34,6 @@ bool SendAll(int fd, std::string_view data) {
   return true;
 }
 
-std::uint64_t NextJitter(std::uint64_t* state) {
-  std::uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
 
 ServerClient::~ServerClient() { Close(); }
@@ -167,7 +160,7 @@ std::chrono::milliseconds RetryingClient::BackoffFor(
   if (backoff_ms > 1) {
     const std::int64_t half = backoff_ms / 2;
     backoff_ms = half + static_cast<std::int64_t>(
-                            NextJitter(&rng_state_) %
+                            rng_.Next() %
                             static_cast<std::uint64_t>(backoff_ms - half + 1));
   }
   // The server's hint is authoritative when larger: it knows the quota

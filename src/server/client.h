@@ -7,6 +7,7 @@
 #include <string>
 #include <string_view>
 
+#include "base/rng.h"
 #include "base/status.h"
 #include "server/wire.h"
 
@@ -78,7 +79,7 @@ struct RetryPolicy {
 class RetryingClient {
  public:
   explicit RetryingClient(int port, RetryPolicy policy = {})
-      : port_(port), policy_(policy), rng_state_(policy.jitter_seed | 1) {}
+      : port_(port), policy_(policy), rng_(policy.jitter_seed | 1) {}
 
   // The final response (possibly an ERR after exhausting attempts), or a
   // transport-level status when no attempt ever got a response.
@@ -97,7 +98,7 @@ class RetryingClient {
 
   int port_;
   RetryPolicy policy_;
-  std::uint64_t rng_state_;
+  Rng rng_;  // Jitter draws.
   std::int64_t retries_ = 0;
   ServerClient client_;
 };

@@ -41,10 +41,6 @@ constexpr std::size_t kMaxQueuedConnections = 64;
 // (quota sheds use the bucket's exact refill time instead).
 constexpr std::int64_t kDefaultRetryAfterMs = 25;
 
-// Brownout level 1 (drop requested traces) starts once this fraction of
-// the global slots is busy; a request's own slot counts.
-constexpr double kShedTracingRatio = 0.75;
-
 constexpr char kDrainingMessage[] = "server is draining — retry after backoff";
 
 bool WriteAll(int fd, std::string_view data) {
@@ -106,7 +102,6 @@ OntologyServer::OntologyServer(OntologyServerOptions options)
   metrics_.RegisterGauge("server_inflight", [this] {
     return static_cast<std::int64_t>(gate_.inflight());
   });
-  metrics_.RegisterGauge("brownout_level", [this] { return brownout_level(); });
 }
 
 OntologyServer::~OntologyServer() {
@@ -251,14 +246,6 @@ Status OntologyServer::Shutdown(std::chrono::nanoseconds drain_deadline) {
   return Status::Ok();
 }
 
-int OntologyServer::brownout_level() const {
-  if (options_.max_inflight_global == 0) return 0;
-  const double ratio =
-      static_cast<double>(gate_.inflight()) /
-      static_cast<double>(options_.max_inflight_global);
-  return ratio >= kShedTracingRatio ? 1 : 0;
-}
-
 std::vector<std::string> OntologyServer::tenant_names() const {
   std::vector<std::string> names;
   names.reserve(tenants_.size());
@@ -361,19 +348,12 @@ OntologyServer::Reply OntologyServer::HandleQuery(
 
 OntologyServer::Reply OntologyServer::ServeAdmitted(
     Tenant& tenant, const WireRequest& request, const Deadline& deadline) {
-  // Brownout: under sustained load shed requested traces before ever
-  // shedding a request.
-  bool trace_wanted = request.trace;
-  if (trace_wanted && brownout_level() >= 1) {
-    shed_tracing_.Increment();
-    trace_wanted = false;
-  }
   ServeOptions serve;
   serve.deadline = deadline;
   serve.cancel = drain_cancel_;
   serve.target = request.target;
   Trace trace;
-  if (trace_wanted) serve.trace = &trace;
+  if (request.trace) serve.trace = &trace;
 
   // Vocabulary is not thread-safe: parse and render under the tenant's
   // vocab lock. SQLite tenants keep it across Serve — SQL emission and
@@ -406,7 +386,7 @@ OntologyServer::Reply OntologyServer::ServeAdmitted(
     reply.body += '\n';
   }
   vocab_lock.unlock();
-  if (trace_wanted) reply.info = SplitLines(trace.ToString());
+  if (request.trace) reply.info = SplitLines(trace.ToString());
   return reply;
 }
 

@@ -49,15 +49,11 @@
 // layers are retryable on the wire; parse errors and unknown tenants are
 // not (see IsRetryableStatusCode).
 //
-// Graceful degradation is a brownout ladder driven by the global
-// inflight ratio — shed optional work before shedding requests:
-//   level 1 (>= 75% of the global slots busy)  drop requested traces;
-//   beyond                                     the admission queue itself
-//                                              sheds, with structured
-//                                              retry-after errors.
-// Brownout never touches the rewriting: every admitted request is served
-// the complete, minimized rewriting, and a miss publishes it to the
-// shared cache — brownout never changes answer semantics.
+// Overload degrades in one way only: the admission layers above shed
+// requests, with structured retry-after errors. Every admitted request is
+// served in full — the complete, minimized rewriting (a miss publishes it
+// to the shared cache), and its span tree when it asked for trace=1 — so
+// load never changes what a reply holds.
 //
 // Shutdown(drain) is a graceful drain: new requests get a retryable
 // Unavailable shed response immediately, inflight requests get up to the
@@ -74,10 +70,9 @@
 //             server_shed_quota, server_shed_tenant_inflight,
 //             server_shed_global, server_queue_deadline,
 //             server_shed_draining, server_shed_queue_full,
-//             server_accept_faults, server_read_faults,
-//             brownout_shed_tracing
-//   gauges    server_inflight, brownout_level (0 or 1; both read live
-//             from the global gate at Snapshot time)
+//             server_accept_faults, server_read_faults
+//   gauges    server_inflight (read live from the global gate at
+//             Snapshot time)
 
 namespace ontorew {
 
@@ -164,9 +159,6 @@ class OntologyServer {
     return shared_cache_->stats();
   }
   std::size_t inflight() const { return gate_.inflight(); }
-  // 0 = healthy, 1 = shedding traces: at least 75% of the global slots
-  // are busy (never, when the global cap is unlimited).
-  int brownout_level() const;
   std::vector<std::string> tenant_names() const;
 
   // Direct (in-process) request service: parses and answers one request
@@ -266,7 +258,6 @@ class OntologyServer {
       metrics_.RegisterCounter("server_shed_queue_full");
   Counter& accept_faults_ = metrics_.RegisterCounter("server_accept_faults");
   Counter& read_faults_ = metrics_.RegisterCounter("server_read_faults");
-  Counter& shed_tracing_ = metrics_.RegisterCounter("brownout_shed_tracing");
 };
 
 }  // namespace ontorew

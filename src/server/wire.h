@@ -47,7 +47,7 @@ struct WireRequest {
   WireVerb verb = WireVerb::kPing;
   std::string tenant;            // QUERY only.
   std::int64_t deadline_ms = 0;  // 0 = no deadline.
-  bool trace = false;            // Request a span-tree dump (may be shed).
+  bool trace = false;            // Request a span-tree dump.
   // Rewrite target ("target=ucq|cte", default ucq): cte asks the engine
   // to factor the rewriting and run it as WITH-CTE SQL (see
   // ServeOptions::target).

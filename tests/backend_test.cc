@@ -705,11 +705,7 @@ struct SlowQueryFixture {
 TEST(BackendTest, StatementCutShortIsResetForTheNextRequest) {
   FaultQuiesce quiesce;
   SlowQueryFixture fx(120);
-  SqliteBackendOptions options;
-  options.busy_max_retries = 2;
-  options.busy_initial_backoff = std::chrono::microseconds(50);
-  options.busy_max_backoff = std::chrono::microseconds(100);
-  SqliteBackend sqlite(&fx.vocab, options);
+  SqliteBackend sqlite(&fx.vocab);
   ASSERT_TRUE(sqlite.Load(fx.program, SharedDb(fx.db)).ok());
   const std::size_t full = 120u * 120u;
   EvalStats reference_stats;
@@ -748,7 +744,7 @@ TEST(BackendTest, StatementCutShortIsResetForTheNextRequest) {
   EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
   expect_full_rerun("cancel");
 
-  // Busy: every attempt reports contention until retries run out.
+  // Busy: the scan reports contention before its first step.
   FaultRegistry::Global().Arm("backend.busy", {.probability = 1.0});
   EXPECT_EQ(sqlite.Execute(fx.query, {}).status().code(),
             StatusCode::kUnavailable);
@@ -841,102 +837,50 @@ TEST(BackendTest, UniversityJoinPlansBuildNoAutomaticIndex) {
   EXPECT_GT(plan_rows, 0) << trace.ToString();
 }
 
-// --- SQLITE_BUSY retry/backoff ----------------------------------------------
+// --- Lock contention ---------------------------------------------------------
 
-// A tiny instance shared by the busy tests.
-struct BusyFixture {
+TEST(BackendTest, RealLockIsRetryableUnavailableUntilReleased) {
+  // A second connection holds the file database's exclusive lock. The
+  // backend neither waits nor retries: Execute and Load fail at once
+  // with the retryable Unavailable, and both succeed once the lock is
+  // gone.
+  const std::string path = ::testing::TempDir() + "backend_lock.db";
+  std::remove(path.c_str());
   Vocabulary vocab;
-  TgdProgram program;
+  TgdProgram program = MustProgram("r(X, Y) -> s(X).", &vocab);
+  UnionOfCqs query(MustQuery("q(X, Y) :- r(X, Y).", &vocab));
+  const Tuple ab = {Value::Constant(vocab.InternConstant("a")),
+                    Value::Constant(vocab.InternConstant("b"))};
   Database db;
-  UnionOfCqs query;
-
-  BusyFixture()
-      : program(MustProgram("r(X, Y) -> s(X).", &vocab)),
-        query(MustQuery("q(X, Y) :- r(X, Y).", &vocab)) {
-    PredicateId r = vocab.FindPredicate("r");
-    auto c = [&](const char* name) {
-      return Value::Constant(vocab.InternConstant(name));
-    };
-    db.Insert(r, {c("a"), c("b")});
-  }
-};
-
-TEST(BackendTest, BusyRetriesExhaustToRetryableUnavailable) {
-  FaultQuiesce quiesce;
-  BusyFixture fx;
+  db.Insert(vocab.FindPredicate("r"), ab);
   SqliteBackendOptions options;
-  options.busy_max_retries = 3;
-  options.busy_initial_backoff = std::chrono::microseconds(50);
-  options.busy_max_backoff = std::chrono::microseconds(200);
-  SqliteBackend backend(&fx.vocab, options);
-  ASSERT_TRUE(backend.Load(fx.program, SharedDb(fx.db)).ok());
+  options.path = path;
+  SqliteBackend sqlite(&vocab, options);
+  ASSERT_TRUE(sqlite.Load(program, SharedDb(db)).ok());
 
-  // Permanent contention: every attempt reports SQLITE_BUSY. After
-  // busy_max_retries backoffs the backend gives up with the RETRYABLE
-  // Unavailable — the caller (or the server's client) decides whether to
-  // come back, the backend never spins forever.
-  FaultRegistry::Global().Arm("backend.busy", {.probability = 1.0});
-  BackendExecOptions exec;
-  StatusOr<std::vector<Tuple>> result = backend.Execute(fx.query, exec);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
-  EXPECT_TRUE(IsRetryableStatusCode(result.status().code()));
-  // busy_retries() counts busy HITS: three absorbed by backoff plus the
-  // fourth that exhausted the cap.
-  EXPECT_EQ(backend.busy_retries(), 4);
-}
+  sqlite3* other = nullptr;
+  ASSERT_EQ(sqlite3_open(path.c_str(), &other), SQLITE_OK);
+  ASSERT_EQ(sqlite3_exec(other, "BEGIN EXCLUSIVE;", nullptr, nullptr,
+                         nullptr),
+            SQLITE_OK);
+  const auto start = std::chrono::steady_clock::now();
+  StatusOr<std::vector<Tuple>> locked = sqlite.Execute(query, {});
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(locked.status().code(), StatusCode::kUnavailable)
+      << locked.status();
+  EXPECT_TRUE(IsRetryableStatusCode(locked.status().code()));
+  EXPECT_LT(elapsed, std::chrono::milliseconds(50));
+  const Status reload = sqlite.Load(program, SharedDb(db));
+  EXPECT_EQ(reload.code(), StatusCode::kUnavailable) << reload;
 
-TEST(BackendTest, BusyBurstIsAbsorbedByBackoff) {
-  FaultQuiesce quiesce;
-  BusyFixture fx;
-  SqliteBackendOptions options;
-  options.busy_initial_backoff = std::chrono::microseconds(50);
-  options.busy_max_backoff = std::chrono::microseconds(200);
-  SqliteBackend backend(&fx.vocab, options);
-  ASSERT_TRUE(backend.Load(fx.program, SharedDb(fx.db)).ok());
-
-  // A finite busy burst (three hits, then the lock clears): the bounded
-  // backoff rides it out and the caller sees only a successful result.
-  int busy_left = 3;
-  FaultPointConfig burst;
-  burst.probability = 1.0;
-  burst.handler = [&busy_left](std::string_view) {
-    if (busy_left > 0) {
-      --busy_left;
-      return InternalError("synthetic SQLITE_BUSY");
-    }
-    return Status::Ok();
-  };
-  FaultRegistry::Global().Arm("backend.busy", burst);
-
-  BackendExecOptions exec;
-  StatusOr<std::vector<Tuple>> result = backend.Execute(fx.query, exec);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->size(), 1u);
-  EXPECT_EQ(busy_left, 0);
-  EXPECT_GE(backend.busy_retries(), 3);
-}
-
-TEST(BackendTest, BusyBackoffRespectsRequestDeadline) {
-  FaultQuiesce quiesce;
-  BusyFixture fx;
-  SqliteBackendOptions options;
-  options.busy_max_retries = 1000;
-  options.busy_initial_backoff = std::chrono::milliseconds(5);
-  options.busy_max_backoff = std::chrono::milliseconds(5);
-  SqliteBackend backend(&fx.vocab, options);
-  ASSERT_TRUE(backend.Load(fx.program, SharedDb(fx.db)).ok());
-
-  FaultRegistry::Global().Arm("backend.busy", {.probability = 1.0});
-  BackendExecOptions exec;
-  exec.cancel = CancelScope(Deadline::AfterMillis(20));
-  StatusOr<std::vector<Tuple>> result = backend.Execute(fx.query, exec);
-  // The backoff loop must not sleep past the caller's budget: with a
-  // 20ms deadline and 1000 permitted retries the loop stops on the
-  // deadline, not the retry cap.
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_LT(backend.busy_retries(), 100);
+  ASSERT_EQ(sqlite3_exec(other, "COMMIT;", nullptr, nullptr, nullptr),
+            SQLITE_OK);
+  sqlite3_close(other);
+  ASSERT_TRUE(sqlite.Load(program, SharedDb(db)).ok());
+  StatusOr<std::vector<Tuple>> answers = sqlite.Execute(query, {});
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  EXPECT_EQ(*answers, std::vector<Tuple>{ab});
+  std::remove(path.c_str());
 }
 
 }  // namespace

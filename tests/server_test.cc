@@ -27,8 +27,8 @@
 
 // The multi-tenant wire server (DESIGN.md §11): protocol parsing, the
 // layered admission ladder (quota → tenant inflight → global slots with
-// deadline-aware queueing), cross-tenant rewrite-cache sharing, the
-// brownout ladder, and graceful drain. Tests that need a request held
+// deadline-aware queueing), cross-tenant rewrite-cache sharing, full
+// service under load, and graceful drain. Tests that need a request held
 // in-flight pin it deterministically with the serve.admit fault point's
 // blocking handler — no sleep-and-hope.
 
@@ -508,11 +508,9 @@ TEST_F(ServerTest, QueueDeadlineExpiryIsDeadlineExceededNotShed) {
   EXPECT_TRUE(first->status.ok()) << first->status;
 }
 
-TEST_F(ServerTest, BrownoutShedsTracingBeforeShedingRequests) {
+TEST_F(ServerTest, TraceIsServedWithEveryGlobalSlotBusy) {
   OntologyServerOptions options;
   options.max_inflight_global = 2;
-  // A request's own slot counts toward the ratio: one inflight request
-  // (1/2 = 0.5) stays healthy, two (2/2 = 1.0) trip the tracing rung.
   OntologyServer server(options);
   ASSERT_TRUE(server
                   .AddTenant({.name = "uni",
@@ -526,42 +524,23 @@ TEST_F(ServerTest, BrownoutShedsTracingBeforeShedingRequests) {
     first = MustParse(server.ServeLine("QUERY tenant=uni q(X) :- person(X)."));
   });
   held.reached.wait();
-  EXPECT_EQ(server.brownout_level(), 0);  // One slot of two: healthy.
 
-  // Under brownout the trace is shed but the ANSWERS are not: same rows,
-  // no span tree, and the request was never rejected.
-  const WireResponse degraded = MustParse(
+  // The traced request takes the second of two slots: load does not
+  // strip what the client asked for, so it gets its rows and its span
+  // tree.
+  const WireResponse traced = MustParse(
       server.ServeLine("QUERY tenant=uni trace=1 q(X) :- person(X)."));
-  ASSERT_TRUE(degraded.status.ok()) << degraded.status;
-  EXPECT_EQ(degraded.rows,
-            (std::vector<std::string>{"(ada)", "(turing)"}));
-  EXPECT_TRUE(degraded.info.empty());
-  EXPECT_GE(server.metrics().Snapshot().Counter("brownout_shed_tracing"), 1);
+  ASSERT_TRUE(traced.status.ok()) << traced.status;
+  EXPECT_EQ(traced.rows, (std::vector<std::string>{"(ada)", "(turing)"}));
+  EXPECT_FALSE(traced.info.empty());
 
   held.release_promise.set_value();
   holder.join();
-  EXPECT_EQ(server.brownout_level(), 0);
-  // The gauge reads the live level, not the one the last admitted
-  // request saw, and STATS reports it exactly once.
-  EXPECT_EQ(server.metrics().Snapshot().Gauge("brownout_level"), 0);
-  const WireResponse stats = MustParse(server.ServeLine("STATS"));
-  ASSERT_TRUE(stats.status.ok());
-  std::vector<std::string> level_lines;
-  for (const std::string& line : stats.info) {
-    if (line.find("brownout_level") != std::string::npos) {
-      level_lines.push_back(line);
-    }
-  }
-  EXPECT_EQ(level_lines, std::vector<std::string>{"brownout_level = 0"});
-
-  // Healthy again: the same request now gets its trace.
-  const WireResponse traced = MustParse(
-      server.ServeLine("QUERY tenant=uni trace=1 q(X) :- person(X)."));
-  ASSERT_TRUE(traced.status.ok());
-  EXPECT_FALSE(traced.info.empty());
+  ASSERT_TRUE(first.has_value());
+  EXPECT_TRUE(first->status.ok()) << first->status;
 }
 
-TEST_F(ServerTest, BrownoutStillServesAndPublishesTheMinimizedRewriting) {
+TEST_F(ServerTest, FullLoadStillServesAndPublishesTheMinimizedRewriting) {
   OntologyServerOptions options;
   options.max_inflight_global = 2;
   OntologyServer server(options);
@@ -579,8 +558,7 @@ TEST_F(ServerTest, BrownoutStillServesAndPublishesTheMinimizedRewriting) {
   });
   held.reached.wait();
 
-  // Every request below runs with both global slots busy — brownout. A
-  // cold miss still rewrites completely and publishes the result, so
+  // Every request below runs with both global slots busy. A cold miss still rewrites completely and publishes the result, so
   // the repeat is a cache hit with the same rows.
   const char* cold = "QUERY tenant=uni q(X) :- person(X).";
   const WireResponse miss = MustParse(server.ServeLine(cold));
@@ -898,7 +876,7 @@ TEST_F(ServerTest, ConnectionFaultsNeverLeakSlotsOrCrash) {
   EXPECT_EQ(server.inflight(), 0u);
 }
 
-TEST_F(ServerTest, SqliteBusyBurstAbsorbedInvisibly) {
+TEST_F(ServerTest, SqliteBusyIsRetryableAndRetryingClientRidesItOut) {
   OntologyServer server;
   ASSERT_TRUE(server
                   .AddTenant({.name = "reg",
@@ -906,9 +884,11 @@ TEST_F(ServerTest, SqliteBusyBurstAbsorbedInvisibly) {
                               .facts_text = kUniversityFacts,
                               .use_sqlite = true})
                   .ok());
-  // A burst of three synthetic SQLITE_BUSY hits: the backend's bounded
-  // exponential backoff retries through them; the caller never notices.
-  int busy_left = 3;
+  // A burst of three synthetic SQLITE_BUSY hits. The backend does not
+  // wait them out: each fails its request with the retryable
+  // Unavailable, and the client decides to come back.
+  // Atomic: server workers trip it while this thread reads it.
+  std::atomic<int> busy_left{3};
   FaultPointConfig burst;
   burst.handler = [&busy_left](std::string_view) {
     if (busy_left > 0) {
@@ -918,11 +898,23 @@ TEST_F(ServerTest, SqliteBusyBurstAbsorbedInvisibly) {
     return Status::Ok();
   };
   FaultRegistry::Global().Arm("backend.busy", burst);
-  const WireResponse response =
-      MustParse(server.ServeLine("QUERY tenant=reg q(X) :- person(X)."));
-  ASSERT_TRUE(response.status.ok()) << response.status;
-  EXPECT_EQ(response.rows, (std::vector<std::string>{"(ada)", "(turing)"}));
-  EXPECT_EQ(busy_left, 0);  // The burst really happened.
+  const std::string busy =
+      server.ServeLine("QUERY tenant=reg q(X) :- person(X).");
+  EXPECT_TRUE(busy.starts_with("ERR code=Unavailable retryable=1")) << busy;
+  EXPECT_EQ(busy_left, 2);
+
+  // Over TCP, RetryingClient backs off from the other two and gets the
+  // exact answer on its third attempt.
+  ASSERT_TRUE(server.Start().ok());
+  RetryPolicy policy;
+  policy.initial_backoff = std::chrono::milliseconds(1);
+  RetryingClient client(server.port(), policy);
+  StatusOr<WireResponse> response = client.Query("reg", "q(X) :- person(X).");
+  ASSERT_TRUE(response.ok()) << response.status();
+  ASSERT_TRUE(response->status.ok()) << response->status;
+  EXPECT_EQ(response->rows, (std::vector<std::string>{"(ada)", "(turing)"}));
+  EXPECT_EQ(client.retries(), 2);
+  EXPECT_EQ(busy_left, 0);
 }
 
 }  // namespace
